@@ -15,7 +15,7 @@ import sys
 from . import coordination as co
 from . import daemon as dm
 from . import guidebook as gb
-from . import model, obligations, sexpr, simulate
+from . import model, obligations, sexpr, simulate, wal
 from .sexpr import Integer, SList, String, Symbol
 
 
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except SystemExit:
         raise
     except (OSError, ValueError, sexpr.SexprError, model.ModelError,
-            gb.GuidebookError, co.CoordinationError) as e:
+            gb.GuidebookError, co.CoordinationError, wal.WalError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

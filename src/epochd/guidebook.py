@@ -192,13 +192,6 @@ class ConsistencyIssue:
         return f"{where}: [{self.kind}] {self.message}"
 
 
-def _formula_sat(formulas):
-    if any(solver.has_atoms(f) for f in formulas):
-        joined = formulas[0] if len(formulas) == 1 else solver.And(tuple(formulas))
-        return solver.check_sat_lia(joined)
-    return solver.check_sat_prop(list(formulas))
-
-
 def check_guidebook_consistency(guidebooks, registry=None) -> list:
     """Flag constraints that can never hold, jointly contradictory
     sets, unknown predicates, scope mixing, id collisions across
@@ -215,7 +208,7 @@ def check_guidebook_consistency(guidebooks, registry=None) -> list:
                 ))
             seen_ids.setdefault(c.id, book.path)
 
-            res = _formula_sat([c.formula])
+            res = solver.check_sat([c.formula])
             if res.status == "unsat":
                 issues.append(ConsistencyIssue(
                     book.path, c.id, "unsat",
@@ -243,7 +236,7 @@ def check_guidebook_consistency(guidebooks, registry=None) -> list:
                 ))
 
     if sat_checkable:
-        joint = _formula_sat([c.formula for c, _ in sat_checkable])
+        joint = solver.check_sat([c.formula for c, _ in sat_checkable])
         if joint.status == "unsat":
             try:
                 core = solver.minimal_unsat_subset([c.formula for c, _ in sat_checkable])

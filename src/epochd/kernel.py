@@ -125,7 +125,7 @@ class Kernel:
         self.warnings: tuple = ()
 
         if resume_history is not None and len(resume_history):
-            resume_history.validate()
+            # History's constructor has already validated the chain.
             head = resume_history.head
             artifact = resume_history.artifact_at(head.index)
             self.artifact = artifact

@@ -9,8 +9,8 @@ through decode/encode untouched so older daemons can read newer files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from dataclasses import dataclass, replace
+from datetime import datetime, timezone
 
 from . import sexpr, solver
 from .sexpr import Integer, SList, String, Symbol
@@ -876,18 +876,6 @@ def _element_key(section: str, element) -> str | None:
     if section == "coordination":
         return element.feature if isinstance(element, Claim) else None
     return element.id
-
-
-def _section_list(a: Artifact, section: str):
-    return {
-        "requirements": a.requirements,
-        "design": a.design_elements,
-        "workflows": a.workflows,
-        "features": a.features,
-        "traceability": a.traces,
-        "proof-obligations": a.obligations,
-        "lessons": a.lessons,
-    }[section]
 
 
 def _decode_element(section: str, form):

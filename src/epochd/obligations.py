@@ -251,10 +251,7 @@ def eval_workflow_satisfiability(ctx: EvalContext) -> list:
             ctx.tally()
             if tr.guard is None:
                 continue
-            if solver.has_atoms(tr.guard):
-                res = solver.check_sat_lia(tr.guard)
-            else:
-                res = solver.check_sat_prop([tr.guard])
+            res = solver.check_sat([tr.guard])
             if res.status == "sat":
                 continue
             subject = f"{wf.name}/{tr.source}->{tr.target}"

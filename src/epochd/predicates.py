@@ -174,30 +174,3 @@ def formula_instances(a: Artifact, formula_vars, *, change_set=None,
             for fid in feature_ids_touched(change_set)
         ]
     return [(a.name, base)]
-
-
-def bind_predicates(a: Artifact, change_set=None, *, witnesses=frozenset(), now=None):
-    """Whole-artifact environment: any-delivered for the status
-    predicate, all-delivered-features-covered for the scope
-    predicates, per-record conjunction for evidence. Returns the
-    boolean env and the (currently empty) integer env."""
-    delivered = [f for f in a.features if f.status == "delivered"]
-    env = dict(_graph_env(a))
-    env["feature_delivered"] = bool(delivered)
-    env["has_code_paths"] = all(bool(f.scope.code_paths) for f in delivered)
-    env["has_test_paths"] = all(bool(f.scope.test_paths) for f in delivered)
-    env["has_requirements"] = all(bool(f.scope.requirements) for f in delivered)
-    env["evidence_submitted"] = bool(a.evidence)
-    env["witness_registered"] = all(r.witness in witnesses for r in a.evidence)
-    env["hash_present"] = all(bool(r.hash) and r.server_computed for r in a.evidence)
-    if change_set is not None:
-        touched = feature_ids_touched(change_set)
-        env["work_dispatched"] = bool(touched)
-        env["feature_claimed_by_agent"] = all(
-            _dispatch_env(a, fid, change_set, now)["feature_claimed_by_agent"]
-            for fid in touched
-        )
-    else:
-        env["work_dispatched"] = False
-        env["feature_claimed_by_agent"] = False
-    return env, {}

@@ -213,11 +213,3 @@ def fingerprint(node) -> str:
 def fingerprint_text(text: str) -> str:
     """SHA-256 of already-canonical text, lowercase hex."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def sym(text: str) -> Symbol:
-    return Symbol(text)
-
-
-def lst(*items) -> SList:
-    return SList(items)

@@ -1,35 +1,39 @@
 """Decision procedures for workflow guards and guidebook constraints.
 
-Two fragments are supported and kept deliberately small:
+One procedure decides Boolean structure: a Tseitin encoding into
+clauses, solved by DPLL. Propositional variables are clause variables.
+Each linear integer atom is normalised to one bound sum + c <= 0 whose
+integer complement -sum - c + 1 <= 0 is its negated literal; = is a
+pair of opposite bounds and != the negation of that pair.
 
-* purely propositional formulas, decided by assignment enumeration for
-  up to 20 distinct variables and by Tseitin + DPLL beyond that, and
-* quantifier-free linear integer arithmetic, decided by DNF expansion,
-  integer-exact equality elimination (gcd test plus substitution),
-  Fourier-Motzkin elimination over the rationals, and branch-and-bound
-  inside the rational bounds.
+The bounds asserted by a DPLL model form one conjunct, decided over
+the integers by integer-exact equality elimination (gcd test plus
+substitution), Fourier-Motzkin elimination over the rationals, and
+branch-and-bound inside the rational bounds. A conjunct with no
+integer point is blocked by a deletion-minimal infeasible subset of
+its literals, and DPLL runs again.
 
 Sat results always carry a model and the model is re-checked against
-the original formula before it is returned. When the integer search is
-rationally feasible but unbounded and no integer point turns up inside
-the search radius, the result is Unknown, never a wrong Unsat.
+the original formulas before it is returned. When the integer search
+is rationally feasible but unbounded and no integer point turns up
+inside the search radius, or a budget runs out, the result is Unknown,
+never a wrong Unsat.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
 from . import sexpr
-from .sexpr import Integer, SList, String, Symbol
+from .sexpr import Integer, SList, Symbol
 
-ENUM_VAR_LIMIT = 20
 DEFAULT_VAR_CAP = 64
 DEFAULT_RADIUS = 10**6
 DEFAULT_NODE_BUDGET = 400_000
-DNF_LIMIT = 4096
+DNF_LIMIT = 4096  # theory checks per call, one per conjunct or core trial
 
 COMPARISONS = ("<", ">", "<=", ">=", "=", "!=")
 
@@ -365,46 +369,47 @@ def has_atoms(f) -> bool:
     return False
 
 
-# --------------------------------------------------- propositional sat
+# ------------------------------------------------ boolean structure
 
 
-def check_sat_prop(formulas, var_cap: int = DEFAULT_VAR_CAP) -> SatResult:
-    """Satisfiability of a conjunction of propositional formulas."""
-    formulas = list(formulas)
-    names = set()
-    for f in formulas:
-        if has_atoms(f):
-            raise SolverError("arithmetic atom in propositional check")
-        prop_vars(f, names)
-    ordered = sorted(names)
-    if len(ordered) > var_cap:
-        raise TooManyVariables(len(ordered), var_cap)
-    if len(ordered) <= ENUM_VAR_LIMIT:
-        return _enumerate_prop(formulas, ordered)
-    return _dpll_prop(formulas, ordered)
-
-
-def _enumerate_prop(formulas, ordered) -> SatResult:
-    for bits in itertools.product((False, True), repeat=len(ordered)):
-        env = dict(zip(ordered, bits))
-        if all(eval_ground(f, env, {}) for f in formulas):
-            return sat(env)
-    return unsat()
+def _complement(bound):
+    """Over the integers, not (s + c <= 0) is -s - c + 1 <= 0."""
+    coeffs, const = bound
+    return tuple((v, -k) for v, k in coeffs), 1 - const
 
 
 def _tseitin(formulas, fresh):
-    """CNF encoding; returns clauses over int literals and the var map."""
+    """CNF encoding; returns clauses over int literals and the var map,
+    keyed ("v", name) for propositional variables and ("a", bound) for
+    arithmetic atoms. A bound and its complement share one variable."""
     lit_of: dict = {}
     clauses: list = []
 
-    def var_lit(name: str) -> int:
-        if ("v", name) not in lit_of:
-            lit_of[("v", name)] = next(fresh)
-        return lit_of[("v", name)]
+    def key_lit(key) -> int:
+        if key not in lit_of:
+            lit_of[key] = next(fresh)
+        return lit_of[key]
+
+    def bound_lit(coeffs, const) -> int:
+        coeffs, const = _tighten_le(coeffs, const)
+        if not coeffs:
+            return encode(BoolConst(const <= 0))
+        bound = (tuple(sorted(coeffs.items())), const)
+        negated = ("a", _complement(bound))
+        if negated in lit_of:
+            return -lit_of[negated]
+        return key_lit(("a", bound))
 
     def encode(f) -> int:
         if isinstance(f, Var):
-            return var_lit(f.name)
+            return key_lit(("v", f.name))
+        if isinstance(f, Atom):
+            c = f.constraint
+            if c.op in ("=", "!="):
+                both = And([Atom(LinearConstraint("<=", c.lhs, c.rhs)),
+                            Atom(LinearConstraint(">=", c.lhs, c.rhs))])
+                return encode(both if c.op == "=" else Not(both))
+            return bound_lit(*_norm_constraint(c))
         if isinstance(f, BoolConst):
             p = next(fresh)
             clauses.append([p] if f.value else [-p])
@@ -434,33 +439,39 @@ def _tseitin(formulas, fresh):
     return clauses, lit_of
 
 
-def _dpll(clauses, assignment) -> dict | None:
-    clauses = [list(c) for c in clauses]
-    assignment = dict(assignment)
+def _propagate(clauses, assignment):
+    """Set unit literals in assignment until none is left. Returns the
+    clauses not yet satisfied, or None on a conflict."""
     while True:
-        unit = None
+        units: dict = {}
         simplified = []
         for clause in clauses:
             live = []
-            satisfied = False
             for lit in clause:
                 val = assignment.get(abs(lit))
                 if val is None:
                     live.append(lit)
                 elif (lit > 0) == val:
-                    satisfied = True
                     break
-            if satisfied:
-                continue
-            if not live:
-                return None
-            if len(live) == 1:
-                unit = live[0]
-            simplified.append(live)
+            else:
+                if not live:
+                    return None
+                if len(live) == 1:
+                    var, val = abs(live[0]), live[0] > 0
+                    if units.setdefault(var, val) != val:
+                        return None
+                simplified.append(live)
         clauses = simplified
-        if unit is None:
-            break
-        assignment[abs(unit)] = unit > 0
+        if not units:
+            return clauses
+        assignment.update(units)
+
+
+def _dpll(clauses, assignment) -> dict | None:
+    assignment = dict(assignment)
+    clauses = _propagate(clauses, assignment)
+    if clauses is None:
+        return None
     if not clauses:
         return assignment
     pick = abs(clauses[0][0])
@@ -471,87 +482,7 @@ def _dpll(clauses, assignment) -> dict | None:
     return None
 
 
-def _dpll_prop(formulas, ordered) -> SatResult:
-    fresh = itertools.count(1)
-    clauses, lit_of = _tseitin(formulas, fresh)
-    assignment = _dpll(clauses, {})
-    if assignment is None:
-        return unsat()
-    env = {name: assignment.get(lit_of.get(("v", name)), False) for name in ordered}
-    assert all(eval_ground(f, env, {}) for f in formulas)
-    return sat(env)
-
-
-# --------------------------------------------------------- integer sat
-
-
-def _nnf(f, positive=True):
-    if isinstance(f, BoolConst):
-        return BoolConst(f.value if positive else not f.value)
-    if isinstance(f, Var):
-        return f if positive else Not(f)
-    if isinstance(f, Not):
-        return _nnf(f.inner, not positive)
-    if isinstance(f, Implies):
-        return _nnf(Or([Not(f.left), f.right]), positive)
-    if isinstance(f, And):
-        parts = [_nnf(x, positive) for x in f.items]
-        return And(parts) if positive else Or(parts)
-    if isinstance(f, Or):
-        parts = [_nnf(x, positive) for x in f.items]
-        return Or(parts) if positive else And(parts)
-    if isinstance(f, Atom):
-        if positive:
-            return f
-        flipped = {"<": ">=", ">": "<=", "<=": ">", ">=": "<", "=": "!=", "!=": "="}
-        c = f.constraint
-        return Atom(LinearConstraint(flipped[c.op], c.lhs, c.rhs))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _split_disequalities(f):
-    if isinstance(f, Atom):
-        c = f.constraint
-        if c.op == "!=":
-            return Or([
-                Atom(LinearConstraint("<", c.lhs, c.rhs)),
-                Atom(LinearConstraint(">", c.lhs, c.rhs)),
-            ])
-        return f
-    if isinstance(f, And):
-        return And([_split_disequalities(x) for x in f.items])
-    if isinstance(f, Or):
-        return Or([_split_disequalities(x) for x in f.items])
-    return f
-
-
-def _dnf(f) -> list:
-    """List of conjuncts; each conjunct is a list of literals."""
-    if isinstance(f, (Atom, Var, BoolConst)) or isinstance(f, Not):
-        return [[f]]
-    if isinstance(f, And):
-        result = [[]]
-        for part in f.items:
-            grown = []
-            for left in result:
-                for right in _dnf(part):
-                    grown.append(left + right)
-                    if len(grown) > DNF_LIMIT:
-                        raise _DnfBlowup()
-            result = grown
-        return result
-    if isinstance(f, Or):
-        out = []
-        for part in f.items:
-            out.extend(_dnf(part))
-            if len(out) > DNF_LIMIT:
-                raise _DnfBlowup()
-        return out
-    raise TypeError(f"unexpected formula in DNF: {f!r}")
-
-
-class _DnfBlowup(Exception):
-    pass
+# ------------------------------------------------- integer conjuncts
 
 
 class _Budget(Exception):
@@ -567,20 +498,18 @@ def _diff(c: LinearConstraint) -> tuple:
 
 
 def _norm_constraint(c: LinearConstraint):
-    """Normalize to ('le'|'eq', coeffs, const) meaning sum+const <= 0
-    or sum+const = 0. Strict ops shift by one: all variables are
+    """Normalize an inequality to (coeffs, const) meaning
+    sum+const <= 0. Strict ops shift by one: all variables are
     integers so t < 0 is t <= -1."""
     coeffs, const = _diff(c)
     if c.op == "<":
-        return ("le", coeffs, const + 1)
+        return coeffs, const + 1
     if c.op == "<=":
-        return ("le", coeffs, const)
+        return coeffs, const
     if c.op == ">":
-        return ("le", {v: -k for v, k in coeffs.items()}, -const + 1)
+        return {v: -k for v, k in coeffs.items()}, -const + 1
     if c.op == ">=":
-        return ("le", {v: -k for v, k in coeffs.items()}, -const)
-    if c.op == "=":
-        return ("eq", coeffs, const)
+        return {v: -k for v, k in coeffs.items()}, -const
     raise SolverError(f"cannot normalize {c.op}")
 
 
@@ -620,10 +549,9 @@ def _ext_gcd(a: int, b: int):
 
 
 class _Conjunct:
-    def __init__(self, eqs, les, bools):
+    def __init__(self, eqs, les):
         self.eqs = eqs    # list of (coeffs, const) meaning = 0
         self.les = les    # list of (coeffs, const) meaning <= 0
-        self.bools = bools
         self.subs = []    # (var, coeffs, const): var = coeffs.vars + const
         self.fresh = itertools.count()
 
@@ -867,103 +795,137 @@ class _Search:
         return None
 
 
+def _int_point(bounds, radius, node_budget):
+    """An integer point satisfying every bound (coeffs, const), meaning
+    sum + const <= 0. Returns (model, None), (None, None) when there is
+    none, or (None, reason) when the search could not decide."""
+    keys = set(bounds)
+    eqs, les = [], []
+    for bound in bounds:
+        coeffs, const = bound
+        opposite = (tuple((v, -k) for v, k in coeffs), -const)
+        if opposite not in keys:
+            les.append((dict(coeffs), const))
+        elif bound < opposite:
+            # s + c <= 0 and -s - c <= 0 together are s + c = 0
+            eqs.append((dict(coeffs), const))
+    conj = _Conjunct(eqs, les)
+    if not conj.eliminate_equalities() or not conj.tighten():
+        return None, None
+    search = _Search(radius, node_budget)
+    try:
+        found = search.solve(conj.les)
+    except _Budget:
+        return None, "search budget exhausted"
+    if found is None:
+        if search.clamped:
+            return None, "unbounded integer variable, no point within radius"
+        return None, None
+    for var, sub_coeffs, sub_const in reversed(conj.subs):
+        value = sub_const
+        for v, c in sub_coeffs.items():
+            value += c * found.get(v, 0)
+        found[var] = value
+    return found, None
+
+
+# ------------------------------------------------------------ decision
+
+
+def _decide(formulas, radius=DEFAULT_RADIUS, node_budget=DEFAULT_NODE_BUDGET) -> SatResult:
+    """Satisfiability of a conjunction. DPLL picks a Boolean model; the
+    bounds its arithmetic literals assert form one conjunct, checked
+    over the integers. An infeasible conjunct is blocked by a
+    deletion-minimal infeasible subset of its literals, and DPLL runs
+    again. Literals the clauses force before any decision hold in
+    every model, so they join every check but are never blocked. At
+    most DNF_LIMIT conjuncts and subsets are checked."""
+    formulas = list(formulas)
+    clauses, lit_of = _tseitin(formulas, itertools.count(1))
+    bounds = {lit: key[1] for key, lit in lit_of.items() if key[0] == "a"}
+    fixed: dict = {}
+    _propagate(clauses, fixed)
+    held = [v if fixed[v] else -v for v in bounds if v in fixed]
+    checks = itertools.count(1)
+    saw_unknown = None
+
+    def point(lits):
+        if next(checks) > DNF_LIMIT:
+            raise _Budget()
+        return _int_point(
+            [bounds[l] if l > 0 else _complement(bounds[-l]) for l in held + lits],
+            radius, node_budget)
+
+    while True:
+        assignment = _dpll(clauses, fixed)
+        if assignment is None:
+            return unknown(saw_unknown) if saw_unknown else unsat()
+        lits = [v if assignment[v] else -v for v in bounds
+                if v in assignment and v not in fixed]
+        try:
+            found, reason = point(lits)
+            if found is None and reason is None:
+                for lit in list(lits):
+                    trial = [l for l in lits if l != lit]
+                    if point(trial) == (None, None):
+                        lits = trial
+        except _Budget:
+            return unknown("too many theory checks")
+        if found is not None:
+            break
+        saw_unknown = saw_unknown or reason
+        clauses.append([-l for l in lits])
+
+    names = sorted(key[1] for key in lit_of if key[0] == "v")
+    env = {name: assignment.get(lit_of[("v", name)], False) for name in names}
+    ints = sorted(set().union(*(int_vars(f) for f in formulas)))
+    int_model = {v: found.get(v, 0) for v in ints}
+    assert all(eval_ground(f, env, int_model) for f in formulas), "model self-check failed"
+    return sat(env, int_model)
+
+
+def check_sat_prop(formulas, var_cap: int = DEFAULT_VAR_CAP) -> SatResult:
+    """Satisfiability of a conjunction of propositional formulas."""
+    formulas = list(formulas)
+    names = set()
+    for f in formulas:
+        if has_atoms(f):
+            raise SolverError("arithmetic atom in propositional check")
+        prop_vars(f, names)
+    if len(names) > var_cap:
+        raise TooManyVariables(len(names), var_cap)
+    return _decide(formulas)
+
+
 def check_sat_lia(formula, radius: int = DEFAULT_RADIUS,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> SatResult:
     """Satisfiability over the integers for a formula whose atoms are
     linear constraints. Boolean structure and propositional variables
-    are allowed; each DNF branch fixes their polarity."""
-    stripped = _split_disequalities(_nnf(formula))
-    try:
-        conjuncts = _dnf(stripped)
-    except _DnfBlowup:
-        return unknown("formula too large for DNF expansion")
-
-    all_ints = sorted(int_vars(formula))
-    all_props = sorted(prop_vars(formula))
-    saw_unknown = None
-
-    for literals in conjuncts:
-        bools: dict = {}
-        eqs, les = [], []
-        contradictory = False
-        for lit in literals:
-            if isinstance(lit, BoolConst):
-                if not lit.value:
-                    contradictory = True
-                    break
-            elif isinstance(lit, Var):
-                if bools.get(lit.name) is False:
-                    contradictory = True
-                    break
-                bools[lit.name] = True
-            elif isinstance(lit, Not) and isinstance(lit.inner, Var):
-                if bools.get(lit.inner.name) is True:
-                    contradictory = True
-                    break
-                bools[lit.inner.name] = False
-            elif isinstance(lit, Atom):
-                kind, coeffs, const = _norm_constraint(lit.constraint)
-                if kind == "eq":
-                    eqs.append((coeffs, const))
-                else:
-                    les.append((coeffs, const))
-            else:
-                raise TypeError(f"unexpected literal {lit!r}")
-        if contradictory:
-            continue
-
-        conj = _Conjunct(eqs, les, bools)
-        if not conj.eliminate_equalities():
-            continue
-        if not conj.tighten():
-            continue
-
-        search = _Search(radius, node_budget)
-        try:
-            found = search.solve(conj.les)
-        except _Budget:
-            saw_unknown = "search budget exhausted"
-            continue
-        if found is None:
-            if search.clamped:
-                saw_unknown = "unbounded integer variable, no point within radius"
-            continue
-
-        int_model = dict(found)
-        for var, sub_coeffs, sub_const in reversed(conj.subs):
-            value = sub_const
-            for v, c in sub_coeffs.items():
-                value += c * int_model.get(v, 0)
-            int_model[var] = value
-        full_int = {v: int_model.get(v, 0) for v in all_ints}
-        full_bool = {v: bools.get(v, False) for v in all_props}
-        assert eval_ground(formula, full_bool, full_int), "model self-check failed"
-        return sat(full_bool, full_int)
-
-    if saw_unknown:
-        return unknown(saw_unknown)
-    return unsat()
+    are allowed."""
+    return _decide([formula], radius, node_budget)
 
 
-# ------------------------------------------------------- unsat cores
-
-
-def _joint_sat(formulas) -> SatResult:
+def check_sat(formulas) -> SatResult:
+    """Satisfiability of a conjunction of formulas, with or without
+    arithmetic atoms."""
     formulas = list(formulas)
     if any(has_atoms(f) for f in formulas):
         return check_sat_lia(And(formulas))
     return check_sat_prop(formulas)
 
 
+# ------------------------------------------------------- unsat cores
+
+
 def minimal_unsat_subset(formulas) -> list:
     """Deletion-based minimal core: dropping any remaining member
     makes the conjunction satisfiable. Input must be unsatisfiable."""
     formulas = list(formulas)
-    if not _joint_sat(formulas).is_unsat:
+    if not check_sat(formulas).is_unsat:
         raise NotUnsat("conjunction is not unsatisfiable")
     core = list(formulas)
     for f in list(core):
         trial = [g for g in core if g is not f]
-        if _joint_sat(trial).is_unsat:
+        if check_sat(trial).is_unsat:
             core = trial
     return core

@@ -131,18 +131,19 @@ def entry_from_sexpr(form) -> WalEntry:
         if not isinstance(sub, SList) or not sub.items or not isinstance(sub[0], Symbol):
             raise WalError("malformed wal-entry field")
         key = sub[0].text
-        if key == "index" and isinstance(sub[1], Integer):
-            index = sub[1].value
-        elif key == "parent" and isinstance(sub[1], String):
-            parent = sub[1].text
-        elif key == "state" and isinstance(sub[1], String):
-            state = sub[1].text
-        elif key == "digest" and isinstance(sub[1], String):
-            digest = sub[1].text
+        value = sub[1] if len(sub) > 1 else None
+        if key == "index" and isinstance(value, Integer):
+            index = value.value
+        elif key == "parent" and isinstance(value, String):
+            parent = value.text
+        elif key == "state" and isinstance(value, String):
+            state = value.text
+        elif key == "digest" and isinstance(value, String):
+            digest = value.text
         elif key == "attestation":
             attestation = attestation_from_sexpr(sub)
-        elif key == "snapshot" and isinstance(sub[1], String):
-            snapshot = sub[1].text
+        elif key == "snapshot" and isinstance(value, String):
+            snapshot = value.text
         else:
             raise WalError(f"unexpected wal-entry field {key}")
     if None in (index, parent, state, digest, snapshot) or attestation is None:
@@ -254,8 +255,12 @@ def load_history(directory: str) -> History:
     )
     entries = []
     for name in names:
-        with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
-            entries.append(entry_from_sexpr(sexpr.parse(fh.read())))
+        path = os.path.join(directory, name)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                entries.append(entry_from_sexpr(sexpr.parse(fh.read())))
+        except (UnicodeDecodeError, sexpr.SexprError, WalError) as err:
+            raise WalError(f"{path}: {err}") from err
     history = History(entries)
     head_file = os.path.join(directory, HEAD_NAME)
     if os.path.exists(head_file) and history.head is not None:

@@ -528,6 +528,20 @@ def test_cli_missing_artifact_errors():
         cli.main(["ping"])
 
 
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda text: text[: len(text) // 2], f"000000{wal.ENTRY_SUFFIX}"),
+    (lambda text: text.replace("kernel", "mallory"), "entry 0"),
+], ids=["torn", "tampered"])
+def test_cli_reports_broken_wal(demo_tree, tmp_path, capsys, corrupt, named):
+    argv = ["--artifact", demo_tree, "--wal-dir", str(tmp_path / "wal"), "ping"]
+    assert cli.main(argv) == 0
+    entry = tmp_path / "wal" / f"000000{wal.ENTRY_SUFFIX}"
+    entry.write_text(corrupt(entry.read_text()))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_cli_tier_subcommand(demo_tree, capsys):
     assert cli.main(["--artifact", demo_tree, "tier-of", "anyone"]) == 0
     assert capsys.readouterr().out.strip() == "(tier unrestricted)"

@@ -7,7 +7,7 @@ import pytest
 
 from epochd import coordination as co
 from epochd import kernel as kn
-from epochd import model, obligations, sandbox, wal
+from epochd import model, obligations, sandbox, sexpr, solver, wal
 from epochd.model import (
     AddOp,
     Artifact,
@@ -20,11 +20,14 @@ from epochd.model import (
     Requirement,
     Scope,
     Trace,
+    Transition,
     UpdateOp,
+    Workflow,
     encode_feature,
     encode_obligation,
     encode_requirement,
     encode_trace,
+    encode_workflow,
     parse_rfc3339,
 )
 
@@ -320,6 +323,20 @@ def test_overlapping_claim_holders_share_success_credit():
     # shares UR-01 with the delivered scope
     assert credited.count("opus-a1b2") >= 1
     assert "helper" in credited
+
+
+def test_commit_workflow_with_wide_disjunctive_guard():
+    # 13 disjunctions: 2**13 sign patterns, every one satisfiable.
+    text = "(and " + " ".join(f"(or (> x{i} {i}) (< x{i} {-i}))" for i in range(13)) + ")"
+    guard = solver.formula_from_sexpr(sexpr.parse(text))
+    wf = Workflow("wide-flow", ("draft", "released"), "draft",
+                  (Transition("draft", "released", guard),))
+    k = demo_kernel()
+    result = k.commit_change_set(ChangeSet(
+        ops=(AddOp("workflows", encode_workflow(wf)),),
+        actor="opus-a1b2", intent="add wide-flow"))
+    assert result.accepted, result.verdict.violations
+    assert k.artifact.workflows[-1].name == "wide-flow"
 
 
 # -------------------------------------------------------- incremental

@@ -107,8 +107,8 @@ def test_prop_var_cap():
         check_sat_prop([big])
 
 
-def test_prop_dpll_path_beyond_enumeration():
-    # 25 variables forces the DPLL branch; chain of implications is sat.
+def test_prop_implication_chain_26_vars():
+    # A chain of implications over 26 variables is sat until its end is denied.
     parts = [f(f"(implies c{i} c{i + 1})") for i in range(25)]
     parts.append(f("c0"))
     res = check_sat_prop(parts)
@@ -120,7 +120,7 @@ def test_prop_dpll_path_beyond_enumeration():
 
 def test_prop_agrees_with_truth_table_oracle():
     rng = random.Random(7)
-    names = ["p", "q", "r", "s"]
+    pool = ["p", "q", "r", "s", "t", "u", "v", "w"]
 
     def rand_formula(depth):
         if depth == 0:
@@ -135,10 +135,13 @@ def test_prop_agrees_with_truth_table_oracle():
         return Implies(rand_formula(depth - 1), rand_formula(depth - 1))
 
     for _ in range(300):
+        names = pool[: rng.randint(6, 8)]
         formulas = [rand_formula(3) for _ in range(rng.randrange(1, 4))]
         expected = brute_force_prop(formulas)
         got = check_sat_prop(formulas)
         assert got.is_sat == (expected is not None)
+        if got.is_sat:
+            assert all(eval_ground(x, got.model, {}) for x in formulas)
 
 
 # -------------------------------------------------------------- lia
@@ -197,6 +200,14 @@ def test_lia_disequality():
     assert res.int_model["x"] == 1
 
 
+def test_lia_wide_disjunctive_guard_sat():
+    # 2**13 sign patterns, every one satisfiable.
+    phi = f("(and " + " ".join(f"(or (> x{i} {i}) (< x{i} {-i}))" for i in range(13)) + ")")
+    res = check_sat_lia(phi)
+    assert res.is_sat
+    assert eval_ground(phi, res.model, res.int_model)
+
+
 def test_lia_agrees_with_grid_oracle():
     rng = random.Random(17)
     for _ in range(200):
@@ -215,6 +226,8 @@ def random_lia_formula(rng, max_vars=3, coeff_bound=5, depth=2):
     names = ["x", "y", "z"][: rng.randrange(1, max_vars + 1)]
 
     def atom():
+        if rng.randrange(4) == 0:
+            return Var(rng.choice(["p", "q"]))
         coeffs = {v: rng.randint(-coeff_bound, coeff_bound) for v in names}
         const = rng.randint(-coeff_bound * 4, coeff_bound * 4)
         op = rng.choice(["<", ">", "<=", ">=", "=", "!="])
@@ -267,7 +280,7 @@ def test_core_is_minimal_every_subset():
     core = minimal_unsat_subset(members)
     for i in range(len(core)):
         trial = core[:i] + core[i + 1:]
-        assert not solver._joint_sat(trial).is_unsat
+        assert not solver.check_sat(trial).is_unsat
 
 
 # ------------------------------------------------------------ format

@@ -50,6 +50,11 @@ def test_attestation_requires_tag():
         wal.attestation_from_sexpr(sexpr.parse("(not-an-attestation)"))
 
 
+def test_entry_rejects_field_without_value():
+    with pytest.raises(wal.WalError):
+        wal.entry_from_sexpr(sexpr.parse("(wal-entry (index))"))
+
+
 def test_entry_rejects_unknown_field():
     e = wal.make_entry(0, wal.ZERO_DIGEST, "(artifact x)",
                        wal.Attestation(agent="a"))
@@ -172,6 +177,19 @@ def test_load_detects_edited_entry_file(tmp_path):
     target = tmp_path / f"000001{wal.ENTRY_SUFFIX}"
     target.write_text(target.read_text().replace("agent-1", "agent-2"))
     with pytest.raises(wal.ChainMismatch):
+        wal.load_history(str(tmp_path))
+
+
+@pytest.mark.parametrize("keep", [0.0, 0.01, 0.5, 0.99, -2])
+def test_load_names_torn_last_entry(tmp_path, keep):
+    h = wal.History()
+    for _ in range(2):
+        wal.save_entry(str(tmp_path), push(h, demo()))
+    target = tmp_path / f"000001{wal.ENTRY_SUFFIX}"
+    data = target.read_bytes()
+    cut = len(data) + keep if keep < 0 else int(len(data) * keep)
+    target.write_bytes(data[:cut])
+    with pytest.raises(wal.WalError, match=target.name):
         wal.load_history(str(tmp_path))
 
 
