@@ -27,7 +27,7 @@ from .model import (
     format_rfc3339,
 )
 from .obligations import SECTION_KINDS
-from .sexpr import SList, String, Symbol
+from .sexpr import TEXT, Record, SList, String, Symbol, read_head
 
 EVENT_KINDS = ("agent_rejection", "probe_success", "abandonment", "lease_expiry")
 
@@ -159,41 +159,21 @@ def ledger_to_text(ledger: FrictionLedger) -> str:
 
 def ledger_from_text(text: str) -> FrictionLedger:
     form = sexpr.parse(text)
-    if (not isinstance(form, SList) or not form.items
-            or form[0] != Symbol("agent-friction-ledger")):
-        raise CoordinationError("expected (agent-friction-ledger ...)")
-    events = []
-    for sub in form.items[1:]:
-        if not isinstance(sub, SList) or not sub.items or sub[0] != Symbol("events"):
-            raise CoordinationError("expected (events ...)")
-        for row in sub.items[1:]:
-            events.append(_event_from_sexpr(row))
+    read_head(form, "agent-friction-ledger", (), CoordinationError)
+    r = Record(form, 1, CoordinationError)
+    events = [_event_from_sexpr(row) for row in r.many("events", SList)]
+    r.done()
     return FrictionLedger(events)
 
 
 def _event_from_sexpr(row) -> FrictionEvent:
-    if (not isinstance(row, SList) or len(row) < 2
-            or row[0] != Symbol("friction-event") or not isinstance(row[1], Symbol)):
-        raise CoordinationError("expected (friction-event ID ...)")
-    eid = row[1].text
-    kind = agent = timestamp = ""
-    po_kinds: tuple = ()
-    feature = ""
-    for sub in row.items[2:]:
-        if not isinstance(sub, SList) or not sub.items or not isinstance(sub[0], Symbol):
-            raise CoordinationError(f"{eid}: malformed field")
-        key = sub[0].text
-        if key == "kind" and isinstance(sub[1], Symbol):
-            kind = sub[1].text
-        elif key == "agent" and isinstance(sub[1], (Symbol, String)):
-            agent = sub[1].text
-        elif key == "timestamp" and isinstance(sub[1], String):
-            timestamp = sub[1].text
-        elif key == "po-kinds":
-            po_kinds = tuple(n.text for n in sub.items[1:] if isinstance(n, Symbol))
-        elif key == "feature" and isinstance(sub[1], Symbol):
-            feature = sub[1].text
-    return FrictionEvent(eid, kind, agent, timestamp, po_kinds, feature)
+    eid, = read_head(row, "friction-event", (Symbol,), CoordinationError)
+    r = Record(row, 2, lambda message: CoordinationError(f"{eid}: {message}"))
+    event = FrictionEvent(eid, r.one("kind", Symbol), r.one("agent", TEXT, ""),
+                          r.one("timestamp", String, ""), r.many("po-kinds", Symbol),
+                          r.one("feature", Symbol, ""))
+    r.done()
+    return event
 
 
 def save_ledger(path: str, ledger: FrictionLedger):

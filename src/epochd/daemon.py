@@ -20,7 +20,7 @@ from . import guidebook as gb
 from . import kernel as kn
 from . import lessons as ls
 from . import model, obligations, sexpr, wal
-from .sexpr import Integer, SList, String, Symbol
+from .sexpr import TEXT, Integer, SList, String, Symbol
 
 MAX_REQUEST_BYTES = 256 * 1024
 
@@ -47,51 +47,30 @@ class DaemonConfig:
 
 def load_config(path: str) -> DaemonConfig:
     form = sexpr.parse(_disk_reader(path))
-    if (not isinstance(form, SList) or not form.items
-            or form[0] != Symbol("epochd-config")):
-        raise ValueError("expected (epochd-config ...)")
-    cfg = DaemonConfig()
-    for sub in form.items[1:]:
-        if not isinstance(sub, SList) or not sub.items or not isinstance(sub[0], Symbol):
-            raise ValueError("malformed config entry")
-        key = sub[0].text
-        args = sub.items[1:]
-        if key == "artifact":
-            cfg.artifact_path = _text(args[0])
-        elif key == "base-dir":
-            cfg.base_dir = _text(args[0])
-        elif key == "wal-dir":
-            cfg.wal_dir = _text(args[0])
-        elif key == "friction":
-            cfg.friction_path = _text(args[0])
-        elif key == "listen":
-            cfg.host = _text(args[0])
-            cfg.port = args[1].value
-        elif key == "witnesses":
-            cfg.witnesses = tuple(_text(a) for a in args)
-        elif key == "thresholds":
-            for pair in args:
-                name = pair[0].text
-                value = pair[1].value
-                if name == "theta1":
-                    cfg.theta1 = float(value)
-                elif name == "theta2":
-                    cfg.theta2 = float(value)
-                elif name == "window":
-                    cfg.window = int(value)
-        elif key == "runner":
-            cfg.runner_template = tuple(_text(a) for a in args)
-        else:
-            raise ValueError(f"unknown config key {key}")
-    if not cfg.artifact_path:
-        raise ValueError("config must name an artifact")
+
+    def fail(message):
+        return ValueError(f"{path}: {message}")
+
+    sexpr.read_head(form, "epochd-config", (), fail)
+    r = sexpr.Record(form, 1, fail)
+    cfg = DaemonConfig(artifact_path=r.one("artifact", TEXT))
+    cfg.base_dir = r.one("base-dir", TEXT, cfg.base_dir)
+    cfg.wal_dir = r.one("wal-dir", TEXT, cfg.wal_dir)
+    cfg.friction_path = r.one("friction", TEXT, cfg.friction_path)
+    listen = r.form("listen")
+    if listen is not None:
+        cfg.host, cfg.port = sexpr.read_head(listen, "listen", (TEXT, Integer), fail, exact=True)
+    cfg.witnesses = r.many("witnesses", TEXT)
+    thresholds = r.form("thresholds")
+    if thresholds is not None:
+        t = sexpr.Record(thresholds, 1, fail)
+        cfg.theta1 = float(t.one("theta1", Integer, cfg.theta1))
+        cfg.theta2 = float(t.one("theta2", Integer, cfg.theta2))
+        cfg.window = t.one("window", Integer, cfg.window)
+        t.done()
+    cfg.runner_template = r.many("runner", TEXT) or cfg.runner_template
+    r.done()
     return cfg
-
-
-def _text(node) -> str:
-    if isinstance(node, (String, Symbol)):
-        return node.text
-    raise ValueError(f"expected text, got {node!r}")
 
 
 def build_service(cfg: DaemonConfig) -> "KernelService":
@@ -215,7 +194,7 @@ class KernelService:
 
     def _arg_text(self, args, index, what) -> str:
         node = self._arg(args, index, what)
-        if not isinstance(node, (Symbol, String)):
+        if not isinstance(node, TEXT):
             raise ServiceError("bad-args", f"{what} must be text")
         return node.text
 

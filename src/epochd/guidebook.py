@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import posixpath
 from dataclasses import dataclass
+from functools import partial
 
 from . import predicates, sexpr, solver
 from .model import ProofObligation
-from .sexpr import SList, String, Symbol
+from .sexpr import Record, SList, String, Symbol, read_head, read_values
 
 
 class GuidebookError(Exception):
@@ -60,32 +61,24 @@ class Guidebook:
 
 
 def _parse_constraint(form: SList, path: str) -> GuidebookConstraint:
-    if len(form) < 2 or not isinstance(form[1], Symbol):
-        raise GuidebookSyntaxError(path, "constraint needs a symbol id")
-    cid = form[1].text
-    formula = None
-    po_kind = ""
-    description = ""
-    for sub in form.items[2:]:
-        if not isinstance(sub, SList) or not sub.items or not isinstance(sub[0], Symbol):
-            raise GuidebookSyntaxError(path, f"{cid}: malformed field")
-        key = sub[0].text
-        if key == "z3_formula" and len(sub) == 2:
-            try:
-                formula = solver.formula_from_sexpr(sub[1])
-            except solver.SolverError as err:
-                raise GuidebookSyntaxError(path, f"{cid}: bad formula: {err}") from err
-        elif key == "po-kind" and len(sub) == 2 and isinstance(sub[1], Symbol):
-            po_kind = sub[1].text
-        elif key == "description" and len(sub) == 2 and isinstance(sub[1], String):
-            description = sub[1].text
-        else:
-            raise GuidebookSyntaxError(path, f"{cid}: unexpected field {key}")
+    cid, = read_head(form, "guidebook-constraint", (Symbol,),
+                     partial(GuidebookSyntaxError, path))
+
+    def fail(message):
+        return GuidebookSyntaxError(path, f"{cid}: {message}")
+
+    r = Record(form, 2, fail)
+    formula = r.subtree("z3_formula")
     if formula is None:
-        raise GuidebookSyntaxError(path, f"{cid}: missing z3_formula")
-    if not po_kind:
-        raise GuidebookSyntaxError(path, f"{cid}: missing po-kind")
-    return GuidebookConstraint(cid, formula, po_kind, description)
+        raise fail("missing z3_formula")
+    try:
+        formula = solver.formula_from_sexpr(formula)
+    except solver.SolverError as err:
+        raise fail(f"bad formula: {err}") from err
+    constraint = GuidebookConstraint(cid, formula, r.one("po-kind", Symbol),
+                                     r.one("description", String, ""))
+    r.done()
+    return constraint
 
 
 def parse_guidebook(text: str, path: str = "<memory>") -> Guidebook:
@@ -93,27 +86,14 @@ def parse_guidebook(text: str, path: str = "<memory>") -> Guidebook:
         forms = sexpr.parse_all(text)
     except sexpr.SexprError as err:
         raise GuidebookSyntaxError(path, str(err)) from err
-    constraints: list = []
-    imports: list = []
-    modules: list = []
-    for form in forms:
-        if not isinstance(form, SList) or not form.items or not isinstance(form[0], Symbol):
-            raise GuidebookSyntaxError(path, "top-level forms must be named lists")
-        head = form[0].text
-        if head == "guidebook-constraint":
-            constraints.append(_parse_constraint(form, path))
-        elif head == "imports":
-            for p in form.items[1:]:
-                if not isinstance(p, String):
-                    raise GuidebookSyntaxError(path, "imports take string paths")
-                imports.append(p.text)
-        elif head == "modules":
-            for m in form.items[1:]:
-                if not isinstance(m, Symbol):
-                    raise GuidebookSyntaxError(path, "modules take symbols")
-                modules.append(m.text)
-        else:
-            raise GuidebookSyntaxError(path, f"unexpected top-level form {head}")
+    fail = partial(GuidebookSyntaxError, path)
+    r = Record(SList(forms), 0, fail)
+    constraints = [_parse_constraint(form, path) for form in r.each("guidebook-constraint")]
+    imports = [p for form in r.each("imports") for p in read_values(form, String, fail)]
+    modules = [m for form in r.each("modules") for m in read_values(form, Symbol, fail)]
+    unexpected = r.rest()
+    if unexpected:
+        raise fail(f"unexpected top-level form {unexpected[0].items[0].text}")
     seen = set()
     for c in constraints:
         if c.id in seen:

@@ -9,11 +9,12 @@ through decode/encode untouched so older daemons can read newer files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 
 from . import sexpr, solver
-from .sexpr import Integer, SList, String, Symbol
+from .sexpr import TEXT, Integer, Record, SList, String, Symbol, read_head, read_values
 
 SECTION_ORDER = (
     "requirements",
@@ -271,258 +272,165 @@ class Artifact:
 # ----------------------------------------------------------- decode
 
 
-def _expect_symbol(node, path: str) -> str:
-    if not isinstance(node, Symbol):
-        raise SchemaError(path, f"expected symbol, got {sexpr.print_canonical(node)}")
-    return node.text
-
-
-def _expect_string(node, path: str) -> str:
-    if not isinstance(node, String):
-        raise SchemaError(path, f"expected string, got {sexpr.print_canonical(node)}")
-    return node.text
-
-
-def _expect_list(node, path: str) -> SList:
-    if not isinstance(node, SList):
-        raise SchemaError(path, f"expected list, got {sexpr.print_canonical(node)}")
-    return node
-
-
-def _text(node, path: str) -> str:
-    """Accept either a string or a symbol where prose may appear."""
-    if isinstance(node, String):
-        return node.text
-    if isinstance(node, Symbol):
-        return node.text
-    raise SchemaError(path, f"expected text, got {sexpr.print_canonical(node)}")
-
-
-def _fields(form: SList, start: int, path: str) -> dict:
-    """Read `(key value...)` subforms into a dict of item tuples."""
-    out = {}
-    for item in form.items[start:]:
-        pair = _expect_list(item, path)
-        if len(pair) < 1:
-            raise SchemaError(path, "empty field form")
-        key = _expect_symbol(pair[0], path)
-        if key in out:
-            raise SchemaError(path, f"repeated field {key}")
-        out[key] = pair.items[1:]
-    return out
-
-
-def _flag(values, path: str) -> bool:
-    if len(values) != 1:
-        raise SchemaError(path, "flag takes one value")
-    text = _expect_symbol(values[0], path)
+def _flag(text: str, fail) -> bool:
     if text in ("t", "true"):
         return True
     if text in ("nil", "false"):
         return False
-    raise SchemaError(path, f"bad flag value {text}")
+    raise fail(f"bad flag value {text}")
 
 
 def decode_requirement(form: SList) -> Requirement:
-    path = "requirements"
-    if len(form) < 2 or _expect_symbol(form[0], path) != "req":
-        raise SchemaError(path, "expected (req ID ...)")
-    rid = _expect_symbol(form[1], path)
-    fields = _fields(form, 2, f"req {rid}")
-    known = {"kind", "source", "shall", "constraint"}
-    unknown = set(fields) - known
-    if unknown:
-        raise SchemaError(f"req {rid}", f"unknown fields {sorted(unknown)}")
-    return Requirement(
-        id=rid,
-        kind=_expect_symbol(fields["kind"][0], rid) if fields.get("kind") else "",
-        source=_expect_symbol(fields["source"][0], rid) if fields.get("source") else "",
-        shall=_expect_string(fields["shall"][0], rid) if fields.get("shall") else "",
-        constraint=fields["constraint"][0] if fields.get("constraint") else None,
-    )
+    rid, = read_head(form, "req", (Symbol,), partial(SchemaError, "requirements"))
+    r = Record(form, 2, partial(SchemaError, f"req {rid}"))
+    req = Requirement(rid, r.one("kind", Symbol, ""), r.one("source", Symbol, ""),
+                      r.one("shall", String, ""), r.subtree("constraint"))
+    r.done()
+    return req
 
 
 def decode_architecture_element(form: SList):
-    path = "architecture"
-    head = _expect_symbol(form[0], path) if len(form) else ""
-    if head == "component":
-        name = _expect_symbol(form[1], path)
-        fields = _fields(form, 2, f"component {name}")
-        resp = _expect_string(fields["responsibility"][0], name) if fields.get("responsibility") else ""
-        return Component(name, resp)
-    if head == "connector":
-        if len(form) < 3:
-            raise SchemaError(path, "connector needs two endpoints")
-        src = _expect_symbol(form[1], path)
-        dst = _expect_symbol(form[2], path)
-        fields = _fields(form, 3, f"connector {src}->{dst}")
-        flow = _expect_symbol(fields["flow"][0], path) if fields.get("flow") else ""
-        proto = _expect_symbol(fields["protocol"][0], path) if fields.get("protocol") else ""
-        return Connector(src, dst, flow, proto)
-    raise SchemaError(path, f"unexpected form {sexpr.print_canonical(form)}")
+    fail = partial(SchemaError, "architecture")
+    kind, = read_head(form, None, (), fail)
+    if kind == "component":
+        name, = read_head(form, "component", (Symbol,), fail)
+        r = Record(form, 2, partial(SchemaError, f"component {name}"))
+        element = Component(name, r.one("responsibility", String, ""))
+    elif kind == "connector":
+        src, dst = read_head(form, "connector", (Symbol, Symbol), fail)
+        r = Record(form, 3, partial(SchemaError, f"connector {src}->{dst}"))
+        element = Connector(src, dst, r.one("flow", Symbol, ""), r.one("protocol", Symbol, ""))
+    else:
+        raise fail(f"unexpected form {sexpr.print_canonical(form)}")
+    r.done()
+    return element
 
 
 def decode_design_element(form: SList) -> DesignElement:
-    path = "design"
-    if len(form) < 2:
-        raise SchemaError(path, "design element needs kind and name")
-    kind = _expect_symbol(form[0], path)
-    name = _expect_symbol(form[1], path)
-    return DesignElement(kind, name, tuple(form.items[2:]))
+    kind, name = read_head(form, None, (Symbol,), partial(SchemaError, "design"))
+    return DesignElement(kind, name, form.items[2:])
+
+
+def _decode_transition(form: SList, fail) -> Transition:
+    src, dst = read_head(form, "transition", (Symbol, Symbol), fail)
+    r = Record(form, 3, fail)
+    guard = r.subtree("guard")
+    r.done()
+    if guard is not None:
+        try:
+            guard = solver.formula_from_sexpr(guard)
+        except solver.SolverError as exc:
+            raise fail(str(exc)) from exc
+    return Transition(src, dst, guard)
 
 
 def decode_workflow(form: SList) -> Workflow:
-    path = "workflows"
-    if len(form) < 2 or _expect_symbol(form[0], path) != "workflow":
-        raise SchemaError(path, "expected (workflow NAME ...)")
-    name = _expect_symbol(form[1], path)
-    states: tuple = ()
-    initial = ""
-    transitions = []
-    for item in form.items[2:]:
-        sub = _expect_list(item, f"workflow {name}")
-        head = _expect_symbol(sub[0], name)
-        if head == "states":
-            states = tuple(_expect_symbol(s, name) for s in sub.items[1:])
-        elif head == "initial":
-            initial = _expect_symbol(sub[1], name)
-        elif head == "transition":
-            if len(sub) < 3:
-                raise SchemaError(name, "transition needs two states")
-            src = _expect_symbol(sub[1], name)
-            dst = _expect_symbol(sub[2], name)
-            guard = None
-            for extra in sub.items[3:]:
-                pair = _expect_list(extra, name)
-                if _expect_symbol(pair[0], name) == "guard":
-                    try:
-                        guard = solver.formula_from_sexpr(pair[1])
-                    except solver.SolverError as exc:
-                        raise SchemaError(f"workflow {name}", str(exc)) from exc
-            transitions.append(Transition(src, dst, guard))
-        else:
-            raise SchemaError(f"workflow {name}", f"unknown form {head}")
-    return Workflow(name, states, initial, tuple(transitions))
+    name, = read_head(form, "workflow", (Symbol,), partial(SchemaError, "workflows"))
+    fail = partial(SchemaError, f"workflow {name}")
+    r = Record(form, 2, fail)
+    workflow = Workflow(name, r.many("states", Symbol), r.one("initial", Symbol, ""),
+                        tuple([_decode_transition(t, fail) for t in r.each("transition")]))
+    r.done()
+    return workflow
+
+
+def _decode_scope(form: SList, fail) -> Scope:
+    r = Record(form, 1, fail)
+    scope = Scope(r.many("requirements", Symbol), r.many("code-paths", String),
+                  r.many("test-paths", String))
+    r.done()
+    return scope
 
 
 def decode_feature(form: SList) -> Feature:
-    path = "features"
-    if len(form) < 2 or _expect_symbol(form[0], path) != "feature":
-        raise SchemaError(path, "expected (feature ID ...)")
-    fid = _expect_symbol(form[1], path)
-    fields = _fields(form, 2, f"feature {fid}")
-    scope = Scope()
-    if fields.get("scope"):
-        reqs: tuple = ()
-        code: tuple = ()
-        test: tuple = ()
-        for item in fields["scope"]:
-            sub = _expect_list(item, fid)
-            head = _expect_symbol(sub[0], fid)
-            if head == "requirements":
-                reqs = tuple(_expect_symbol(s, fid) for s in sub.items[1:])
-            elif head == "code-paths":
-                code = tuple(_expect_string(s, fid) for s in sub.items[1:])
-            elif head == "test-paths":
-                test = tuple(_expect_string(s, fid) for s in sub.items[1:])
-            else:
-                raise SchemaError(f"feature {fid}", f"unknown scope part {head}")
-        scope = Scope(reqs, code, test)
-    return Feature(
-        id=fid,
-        name=_expect_string(fields["name"][0], fid) if fields.get("name") else "",
-        status=_expect_symbol(fields["status"][0], fid) if fields.get("status") else "open",
-        scope=scope,
-    )
+    fid, = read_head(form, "feature", (Symbol,), partial(SchemaError, "features"))
+    fail = partial(SchemaError, f"feature {fid}")
+    r = Record(form, 2, fail)
+    scope = r.form("scope")
+    feature = Feature(fid, r.one("name", String, ""), r.one("status", Symbol, "open"),
+                      Scope() if scope is None else _decode_scope(scope, fail))
+    r.done()
+    return feature
 
 
 def decode_trace(form: SList) -> Trace:
-    path = "traceability"
-    if len(form) != 5 or _expect_symbol(form[0], path) != "trace":
-        raise SchemaError(path, "expected (trace ID REQ COMPONENT DESIGN)")
-    return Trace(
-        id=_expect_symbol(form[1], path),
-        requirement=_expect_symbol(form[2], path),
-        component=_expect_symbol(form[3], path),
-        design_element=_expect_symbol(form[4], path),
-    )
+    return Trace(*read_head(form, "trace", (Symbol, Symbol, Symbol, Symbol),
+                            partial(SchemaError, "traceability"), exact=True))
 
 
 def decode_obligation(form: SList) -> ProofObligation:
-    path = "proof-obligations"
-    if len(form) < 2 or _expect_symbol(form[0], path) != "proof":
-        raise SchemaError(path, "expected (proof ID ...)")
-    pid = _expect_symbol(form[1], path)
-    fields = _fields(form, 2, f"proof {pid}")
-    if "kind" not in fields:
-        raise SchemaError(f"proof {pid}", "missing kind")
-    return ProofObligation(
-        id=pid,
-        kind=_expect_symbol(fields["kind"][0], pid),
-        description=_expect_string(fields["description"][0], pid) if fields.get("description") else "",
-        immutable=_flag(fields["immutable"], pid) if fields.get("immutable") else False,
-        params=fields["params"][0] if fields.get("params") else None,
-    )
+    pid, = read_head(form, "proof", (Symbol,), partial(SchemaError, "proof-obligations"))
+    fail = partial(SchemaError, f"proof {pid}")
+    r = Record(form, 2, fail)
+    ob = ProofObligation(pid, r.one("kind", Symbol), r.one("description", String, ""),
+                         _flag(r.one("immutable", Symbol, "nil"), fail), r.subtree("params"))
+    r.done()
+    return ob
 
 
 def decode_claim(form: SList) -> Claim:
-    path = "coordination"
-    fields = _fields(form, 1, "claim")
-    for need in ("agent", "feature", "lease-expires"):
-        if need not in fields:
-            raise SchemaError("claim", f"missing {need}")
-    lease = _expect_string(fields["lease-expires"][0], path)
-    parse_rfc3339(lease)
-    return Claim(
-        agent=_text(fields["agent"][0], path),
-        feature=_expect_symbol(fields["feature"][0], path),
-        lease_expires=lease,
-    )
+    fail = partial(SchemaError, "claim")
+    read_head(form, "claim", (), fail)
+    r = Record(form, 1, fail)
+    claim = Claim(r.one("agent", TEXT), r.one("feature", Symbol), r.one("lease-expires", String))
+    r.done()
+    parse_rfc3339(claim.lease_expires)
+    return claim
 
 
 def decode_evidence(form: SList) -> EvidenceRecord:
-    path = "coordination"
-    fields = _fields(form, 1, "evidence")
-    for need in ("feature", "witness"):
-        if need not in fields:
-            raise SchemaError("evidence", f"missing {need}")
-    return EvidenceRecord(
-        feature=_expect_symbol(fields["feature"][0], path),
-        witness=_text(fields["witness"][0], path),
-        status=_expect_symbol(fields["status"][0], path) if fields.get("status") else "passed",
-        hash=_expect_string(fields["hash"][0], path) if fields.get("hash") else "",
-        server_computed=_flag(fields["server-computed"], path) if fields.get("server-computed") else False,
-        timestamp=_expect_string(fields["timestamp"][0], path) if fields.get("timestamp") else "",
-    )
+    fail = partial(SchemaError, "evidence")
+    read_head(form, "evidence", (), fail)
+    r = Record(form, 1, fail)
+    record = EvidenceRecord(
+        r.one("feature", Symbol), r.one("witness", TEXT), r.one("status", Symbol, "passed"),
+        r.one("hash", String, ""), _flag(r.one("server-computed", Symbol, "nil"), fail),
+        r.one("timestamp", String, ""))
+    r.done()
+    return record
+
+
+def _decode_coordination(form: SList):
+    fail = partial(SchemaError, "coordination")
+    kind, = read_head(form, None, (), fail)
+    if kind == "claim":
+        return decode_claim(form)
+    if kind == "evidence":
+        return decode_evidence(form)
+    raise fail(f"unknown coordination form {kind}")
 
 
 def decode_lesson(form: SList) -> Lesson:
-    path = "lessons"
-    if len(form) < 2 or _expect_symbol(form[0], path) != "lesson":
-        raise SchemaError(path, "expected (lesson ID ...)")
-    lid = _expect_symbol(form[1], path)
-    fields = _fields(form, 2, f"lesson {lid}")
+    lid, = read_head(form, "lesson", (Symbol,), partial(SchemaError, "lessons"))
+    r = Record(form, 2, partial(SchemaError, f"lesson {lid}"))
+    lesson = Lesson(
+        lid, r.one("failure", String, ""), r.one("root-cause", String, ""),
+        r.one("fix", String, ""), r.one("obligation", String, ""),
+        r.many("affected-scope", String), r.one("cost", String, ""),
+        r.many("commits", String), r.one("severity", Integer, 1))
+    r.done()
+    return lesson
 
-    def txt(key):
-        return _expect_string(fields[key][0], lid) if fields.get(key) else ""
 
-    severity = 1
-    if fields.get("severity"):
-        node = fields["severity"][0]
-        if not isinstance(node, Integer):
-            raise SchemaError(f"lesson {lid}", "severity must be an integer")
-        severity = node.value
-    return Lesson(
-        id=lid,
-        failure=txt("failure"),
-        root_cause=txt("root-cause"),
-        fix=txt("fix"),
-        obligation=txt("obligation"),
-        affected_scope=tuple(_expect_string(s, lid) for s in fields.get("affected-scope", ())),
-        cost=txt("cost"),
-        commits=tuple(_expect_string(s, lid) for s in fields.get("commits", ())),
-        severity=severity,
-    )
+def _decode_imports(form: SList) -> tuple:
+    fail = partial(SchemaError, "guidebooks")
+    read_head(form, "imports", (), fail)
+    return read_values(form, String, fail)
+
+
+# One decoder per section; each checks its element's head and fields.
+_SECTION_DECODERS = {
+    "requirements": decode_requirement,
+    "architecture": decode_architecture_element,
+    "design": decode_design_element,
+    "workflows": decode_workflow,
+    "features": decode_feature,
+    "traceability": decode_trace,
+    "proof-obligations": decode_obligation,
+    "coordination": _decode_coordination,
+    "lessons": decode_lesson,
+    "guidebooks": _decode_imports,
+}
 
 
 def _check_unique(section: str, keys) -> None:
@@ -538,86 +446,40 @@ def _check_unique(section: str, keys) -> None:
 def decode(tree) -> Artifact:
     """Build the typed view. The head symbol must be nidus-system and
     the second element the artifact name."""
-    form = _expect_list(tree, "artifact")
-    if len(form) < 2 or not isinstance(form[0], Symbol) or form[0].text != HEAD_SYMBOL:
-        raise SchemaError("artifact", f"expected ({HEAD_SYMBOL} \"name\" ...)")
-    name = _expect_string(form[1], "artifact")
-
-    parts: dict = {key: [] for key in SECTION_ORDER}
-    extra = []
-    seen_sections = set()
-    for section_form in form.items[2:]:
-        section = _expect_list(section_form, "artifact")
-        if len(section) < 1:
-            raise SchemaError("artifact", "empty section form")
-        sname = _expect_symbol(section[0], "artifact")
-        if sname in seen_sections:
-            raise SchemaError("artifact", f"repeated section {sname}")
-        seen_sections.add(sname)
-        if sname in parts:
-            parts[sname] = list(section.items[1:])
-        else:
-            extra.append((sname, section))
-
-    requirements = tuple(decode_requirement(_expect_list(x, "requirements")) for x in parts["requirements"])
-    arch = [decode_architecture_element(_expect_list(x, "architecture")) for x in parts["architecture"]]
-    components = tuple(e for e in arch if isinstance(e, Component))
-    connectors = tuple(e for e in arch if isinstance(e, Connector))
-    design = tuple(decode_design_element(_expect_list(x, "design")) for x in parts["design"])
-    workflows = tuple(decode_workflow(_expect_list(x, "workflows")) for x in parts["workflows"])
-    features = tuple(decode_feature(_expect_list(x, "features")) for x in parts["features"])
-    traces = tuple(decode_trace(_expect_list(x, "traceability")) for x in parts["traceability"])
-    obligations = tuple(decode_obligation(_expect_list(x, "proof-obligations")) for x in parts["proof-obligations"])
-
-    claims = []
-    evidence = []
-    for x in parts["coordination"]:
-        sub = _expect_list(x, "coordination")
-        head = _expect_symbol(sub[0], "coordination")
-        if head == "claim":
-            claims.append(decode_claim(sub))
-        elif head == "evidence":
-            evidence.append(decode_evidence(sub))
-        else:
-            raise SchemaError("coordination", f"unknown form {head}")
-
-    lessons = tuple(decode_lesson(_expect_list(x, "lessons")) for x in parts["lessons"])
-
-    imports = []
-    for x in parts["guidebooks"]:
-        sub = _expect_list(x, "guidebooks")
-        if _expect_symbol(sub[0], "guidebooks") != "imports":
-            raise SchemaError("guidebooks", "expected (imports \"path\" ...)")
-        imports.extend(_expect_string(p, "guidebooks") for p in sub.items[1:])
-
-    _check_unique("requirements", (r.id for r in requirements))
-    _check_unique("architecture", (c.name for c in components))
-    _check_unique("architecture", (c.key for c in connectors))
-    _check_unique("design", (d.name for d in design))
-    _check_unique("workflows", (w.name for w in workflows))
-    _check_unique("features", (f.id for f in features))
-    _check_unique("traceability", (t.id for t in traces))
-    _check_unique("proof-obligations", (o.id for o in obligations))
-    _check_unique("coordination", (c.feature for c in claims))
-    _check_unique("lessons", (l.id for l in lessons))
-    _check_unique("guidebooks", imports)
-
-    return Artifact(
+    fail = partial(SchemaError, "artifact")
+    name, = read_head(tree, HEAD_SYMBOL, (String,), fail)
+    sections = Record(tree, 2, fail)
+    parts = {section: tuple([read(x) for x in sections.many(section, SList)])
+             for section, read in _SECTION_DECODERS.items()}
+    arch, coordination = parts["architecture"], parts["coordination"]
+    a = Artifact(
         name=name,
-        requirements=requirements,
-        components=components,
-        connectors=connectors,
-        design_elements=design,
-        workflows=workflows,
-        features=features,
-        traces=traces,
-        obligations=obligations,
-        claims=tuple(claims),
-        evidence=tuple(evidence),
-        lessons=tuple(lessons),
-        guidebook_imports=tuple(imports),
-        extra_sections=tuple(extra),
+        requirements=parts["requirements"],
+        components=tuple(e for e in arch if isinstance(e, Component)),
+        connectors=tuple(e for e in arch if isinstance(e, Connector)),
+        design_elements=parts["design"],
+        workflows=parts["workflows"],
+        features=parts["features"],
+        traces=parts["traceability"],
+        obligations=parts["proof-obligations"],
+        claims=tuple(e for e in coordination if isinstance(e, Claim)),
+        evidence=tuple(e for e in coordination if isinstance(e, EvidenceRecord)),
+        lessons=parts["lessons"],
+        guidebook_imports=tuple(p for paths in parts["guidebooks"] for p in paths),
+        extra_sections=tuple((item.items[0].text, item) for item in sections.rest()),
     )
+    _check_unique("requirements", (r.id for r in a.requirements))
+    _check_unique("architecture", (c.name for c in a.components))
+    _check_unique("architecture", (c.key for c in a.connectors))
+    _check_unique("design", (d.name for d in a.design_elements))
+    _check_unique("workflows", (w.name for w in a.workflows))
+    _check_unique("features", (f.id for f in a.features))
+    _check_unique("traceability", (t.id for t in a.traces))
+    _check_unique("proof-obligations", (o.id for o in a.obligations))
+    _check_unique("coordination", (c.feature for c in a.claims))
+    _check_unique("lessons", (l.id for l in a.lessons))
+    _check_unique("guidebooks", a.guidebook_imports)
+    return a
 
 
 def decode_text(text: str) -> Artifact:
@@ -849,23 +711,12 @@ def feature_ids_touched(cs: ChangeSet, a: Artifact | None = None) -> list:
             fid = op.target
         else:
             try:
-                fid = decode_feature(_expect_list(op.element, "features")).id
+                fid = decode_feature(op.element).id
             except ModelError:
                 continue
         if fid not in out:
             out.append(fid)
     return out
-
-
-_SECTION_DECODERS = {
-    "requirements": decode_requirement,
-    "architecture": decode_architecture_element,
-    "design": decode_design_element,
-    "workflows": decode_workflow,
-    "features": decode_feature,
-    "traceability": decode_trace,
-    "proof-obligations": decode_obligation,
-}
 
 
 def _element_key(section: str, element) -> str | None:
@@ -879,20 +730,6 @@ def _element_key(section: str, element) -> str | None:
 
 
 def _decode_element(section: str, form):
-    form = _expect_list(form, section)
-    if section == "coordination":
-        head = _expect_symbol(form[0], section)
-        if head == "claim":
-            return decode_claim(form)
-        if head == "evidence":
-            return decode_evidence(form)
-        raise SchemaError(section, f"unknown coordination form {head}")
-    if section == "lessons":
-        return decode_lesson(form)
-    if section == "guidebooks":
-        if isinstance(form, SList) and len(form) >= 1 and isinstance(form[0], Symbol) and form[0].text == "imports":
-            return tuple(_expect_string(p, section) for p in form.items[1:])
-        raise SchemaError(section, "expected (imports \"path\" ...)")
     decoder = _SECTION_DECODERS.get(section)
     if decoder is None:
         raise UnknownSection(section)
@@ -1038,29 +875,25 @@ def change_set_to_sexpr(cs: ChangeSet) -> SList:
     ])
 
 
+def _op_from_sexpr(op, fail):
+    verb, = read_head(op, None, (), fail)
+    if verb == "add":
+        return AddOp(*read_head(op, "add", (Symbol, SList), fail, exact=True))
+    if verb == "remove":
+        return RemoveOp(*read_head(op, "remove", (Symbol, Symbol), fail, exact=True))
+    if verb == "update":
+        return UpdateOp(*read_head(op, "update", (Symbol, Symbol, SList), fail, exact=True))
+    raise fail(f"unknown op verb {verb}")
+
+
 def change_set_from_sexpr(form) -> ChangeSet:
-    form = _expect_list(form, "change-set")
-    if len(form) < 1 or _expect_symbol(form[0], "change-set") != "change-set":
-        raise SchemaError("change-set", "expected (change-set ...)")
-    fields = _fields(form, 1, "change-set")
-    if "actor" not in fields:
-        raise SchemaError("change-set", "missing actor")
-    actor = _text(fields["actor"][0], "change-set")
-    intent = _text(fields["intent"][0], "change-set") if fields.get("intent") else ""
-    ops = []
-    for raw in fields.get("ops", ()):
-        triple = _expect_list(raw, "change-set")
-        verb = _expect_symbol(triple[0], "change-set")
-        section = _expect_symbol(triple[1], "change-set")
-        if verb == "add":
-            ops.append(AddOp(section, triple[2]))
-        elif verb == "remove":
-            ops.append(RemoveOp(section, _expect_symbol(triple[2], "change-set")))
-        elif verb == "update":
-            ops.append(UpdateOp(section, _expect_symbol(triple[2], "change-set"), triple[3]))
-        else:
-            raise SchemaError("change-set", f"unknown op verb {verb}")
-    return ChangeSet(ops, actor, intent)
+    fail = partial(SchemaError, "change-set")
+    read_head(form, "change-set", (), fail)
+    r = Record(form, 1, fail)
+    cs = ChangeSet([_op_from_sexpr(op, fail) for op in r.many("ops", SList)],
+                   r.one("actor", TEXT), r.one("intent", TEXT, ""))
+    r.done()
+    return cs
 
 
 def change_set_fingerprint(cs: ChangeSet) -> str:

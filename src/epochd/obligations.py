@@ -24,7 +24,7 @@ from .model import (
     encode_text,
     feature_ids_touched,
 )
-from .sexpr import Integer, SList, String, Symbol
+from .sexpr import Integer, Record, SList, String, Symbol, read_head
 
 DEFAULT_WITNESSES = frozenset({"kernel-test-gate", "ci-pipeline", "human-review"})
 
@@ -343,41 +343,27 @@ class GateSpec:
     depends: tuple = ()
 
 
+def _gate_from_sexpr(row) -> GateSpec:
+    gid, = read_head(row, "gate", (Symbol,), ValueError)
+    r = Record(row, 2, ValueError)
+    r.subtree("description")  # for readers of the artifact; not checked
+    gate = GateSpec(gid, r.one("witness", String, ""), r.many("depends-on", Symbol))
+    r.done()
+    return gate
+
+
 def parse_gates(params) -> list | None:
-    """Read the gate DAG from an obligation's params subtree."""
+    """Read the gate DAG from an obligation's params subtree; None when
+    it is malformed."""
     if not isinstance(params, SList):
         return None
-    rows = list(params.items)
+    rows = params.items
     if rows and isinstance(rows[0], Symbol) and rows[0].text == "gates":
         rows = rows[1:]
-    gates = []
-    for row in rows:
-        if (not isinstance(row, SList) or len(row) < 2
-                or not isinstance(row[0], Symbol) or row[0].text != "gate"
-                or not isinstance(row[1], Symbol)):
-            return None
-        gid = row[1].text
-        witness = ""
-        depends: tuple = ()
-        for sub in row.items[2:]:
-            if not isinstance(sub, SList) or not sub.items or not isinstance(sub[0], Symbol):
-                return None
-            key = sub[0].text
-            if key == "witness" and len(sub) == 2 and isinstance(sub[1], String):
-                witness = sub[1].text
-            elif key == "description":
-                continue
-            elif key == "depends-on":
-                deps = []
-                for d in sub.items[1:]:
-                    if not isinstance(d, Symbol):
-                        return None
-                    deps.append(d.text)
-                depends = tuple(deps)
-            else:
-                return None
-        gates.append(GateSpec(gid, witness, depends))
-    return gates
+    try:
+        return [_gate_from_sexpr(row) for row in rows]
+    except ValueError:
+        return None
 
 
 def _newly_delivered(ctx: EvalContext) -> list:

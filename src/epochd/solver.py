@@ -907,11 +907,15 @@ def check_sat_lia(formula, radius: int = DEFAULT_RADIUS,
 
 def check_sat(formulas) -> SatResult:
     """Satisfiability of a conjunction of formulas, with or without
-    arithmetic atoms."""
+    arithmetic atoms. Propositional formulas over more variables than
+    the cap are unknown."""
     formulas = list(formulas)
     if any(has_atoms(f) for f in formulas):
         return check_sat_lia(And(formulas))
-    return check_sat_prop(formulas)
+    try:
+        return check_sat_prop(formulas)
+    except TooManyVariables as exc:
+        return unknown(str(exc))
 
 
 # ------------------------------------------------------- unsat cores

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import model, sexpr
 from .model import Artifact
-from .sexpr import Integer, SList, String, Symbol
+from .sexpr import TEXT, Integer, Record, SList, String, Symbol, read_head
 
 ZERO_DIGEST = "0" * 64
 ENTRY_SUFFIX = ".entry"
@@ -56,31 +56,19 @@ def attestation_to_sexpr(at: Attestation) -> SList:
 
 
 def attestation_from_sexpr(form) -> Attestation:
-    if not isinstance(form, SList) or not form.items or form[0] != Symbol("attestation"):
-        raise WalError("expected (attestation ...)")
-    fields = {}
-    for sub in form.items[1:]:
-        if not isinstance(sub, SList) or not sub.items or not isinstance(sub[0], Symbol):
-            raise WalError("malformed attestation field")
-        fields[sub[0].text] = sub.items[1:]
-    def text(key, default=""):
-        vals = fields.get(key)
-        if not vals:
-            return default
-        node = vals[0]
-        return node.text if isinstance(node, (String, Symbol)) else default
-    feats = tuple(
-        n.text for n in fields.get("features", ()) if isinstance(n, (Symbol, String))
+    read_head(form, "attestation", (), WalError)
+    r = Record(form, 1, WalError)
+    at = Attestation(
+        agent=r.one("agent", TEXT, ""),
+        features=r.many("features", TEXT),
+        verdict=r.one("verdict", TEXT, "pass"),
+        fingerprint_before=r.one("fingerprint-before", TEXT, ZERO_DIGEST),
+        fingerprint_after=r.one("fingerprint-after", TEXT, ""),
+        timestamp=r.one("timestamp", TEXT, ""),
+        intent=r.one("intent", TEXT, ""),
     )
-    return Attestation(
-        agent=text("agent"),
-        features=feats,
-        verdict=text("verdict", "pass"),
-        fingerprint_before=text("fingerprint-before", ZERO_DIGEST),
-        fingerprint_after=text("fingerprint-after"),
-        timestamp=text("timestamp"),
-        intent=text("intent"),
-    )
+    r.done()
+    return at
 
 
 @dataclass(frozen=True)
@@ -123,32 +111,18 @@ def entry_to_sexpr(e: WalEntry) -> SList:
 
 
 def entry_from_sexpr(form) -> WalEntry:
-    if not isinstance(form, SList) or not form.items or form[0] != Symbol("wal-entry"):
-        raise WalError("expected (wal-entry ...)")
-    index = parent = state = digest = snapshot = None
-    attestation = None
-    for sub in form.items[1:]:
-        if not isinstance(sub, SList) or not sub.items or not isinstance(sub[0], Symbol):
-            raise WalError("malformed wal-entry field")
-        key = sub[0].text
-        value = sub[1] if len(sub) > 1 else None
-        if key == "index" and isinstance(value, Integer):
-            index = value.value
-        elif key == "parent" and isinstance(value, String):
-            parent = value.text
-        elif key == "state" and isinstance(value, String):
-            state = value.text
-        elif key == "digest" and isinstance(value, String):
-            digest = value.text
-        elif key == "attestation":
-            attestation = attestation_from_sexpr(sub)
-        elif key == "snapshot" and isinstance(value, String):
-            snapshot = value.text
-        else:
-            raise WalError(f"unexpected wal-entry field {key}")
-    if None in (index, parent, state, digest, snapshot) or attestation is None:
-        raise WalError("incomplete wal-entry")
-    return WalEntry(index, parent, state, snapshot, attestation, digest)
+    read_head(form, "wal-entry", (), WalError)
+    r = Record(form, 1, WalError)
+    entry = WalEntry(
+        index=r.one("index", Integer),
+        parent_digest=r.one("parent", String),
+        state_digest=r.one("state", String),
+        snapshot=r.one("snapshot", String),
+        attestation=attestation_from_sexpr(r.form("attestation")),
+        entry_digest=r.one("digest", String),
+    )
+    r.done()
+    return entry
 
 
 class History:
@@ -174,8 +148,8 @@ class History:
         return self.entries[-1] if self.entries else None
 
     def _admit(self, entry: WalEntry):
+        idx = len(self.entries)
         self.entries.append(entry)
-        idx = entry.index
         art = self.artifact_at(idx)
         for f in art.features:
             self._first_seen.setdefault(f.id, idx)
@@ -253,15 +227,15 @@ def load_history(directory: str) -> History:
     names = sorted(
         n for n in os.listdir(directory) if n.endswith(ENTRY_SUFFIX)
     )
-    entries = []
+    history = History()
     for name in names:
         path = os.path.join(directory, name)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                entries.append(entry_from_sexpr(sexpr.parse(fh.read())))
-        except (UnicodeDecodeError, sexpr.SexprError, WalError) as err:
+                history._admit(entry_from_sexpr(sexpr.parse(fh.read())))
+        except (UnicodeDecodeError, sexpr.SexprError, WalError, model.ModelError) as err:
             raise WalError(f"{path}: {err}") from err
-    history = History(entries)
+    history.validate()
     head_file = os.path.join(directory, HEAD_NAME)
     if os.path.exists(head_file) and history.head is not None:
         with open(head_file, "r", encoding="utf-8") as fh:

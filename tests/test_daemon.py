@@ -80,6 +80,49 @@ def test_verb_crash_becomes_internal_error():
     assert svc.handle("(ping)") == "(ok pong)"
 
 
+MALFORMED_REQUESTS = [
+    ('(commit-change-set (change-set (actor)))', "actor"),
+    ('(commit-change-set (change-set (actor "a") (ops (add))))', "(add)"),
+    ('(commit-change-set (change-set (actor "a") (ops (update features))))', "(update features)"),
+    ('(what-if (change-set (actor "a") (ops (add coordination (claim (agent) (feature FEAT-01)'
+     ' (lease-expires "2030-01-01T00:00:00Z"))))))', "agent"),
+    ('(what-if (change-set (actor "a") (ops (add workflows (workflow W (initial))))))', "initial"),
+    ('(what-if (change-set (actor "a") (ops (add features (feature F9 (scope ()))))))', "scope"),
+    ('(what-if (change-set (actor "a") (ops (add architecture (component)))))', "component"),
+    ('(what-if (change-set (actor "a") (ops (add coordination ()))))', "coordination"),
+    ('(record-lesson "a" oops)', "lesson"),
+    ('(retroactive-verify 3 oops)', "proof"),
+    ('(retroactive-verify 3 (proof P1 (kind)))', "kind"),
+]
+
+
+@pytest.mark.parametrize("request_text, names", MALFORMED_REQUESTS)
+def test_malformed_records_get_a_typed_answer(request_text, names):
+    svc = demo_service()
+    head_before = svc.kernel.head_fingerprint()
+    out = parse(svc.handle(request_text))
+    if out[0] == Symbol("err"):
+        assert out[1] == Symbol("bad-args")
+        message = out[2].text
+    else:
+        assert out[0] == Symbol("ok") and out[1][:2] == (Symbol("verdict"), Symbol("fail"))
+        message = out[1][2][1][4].text
+    assert names in message
+    assert svc.kernel.head_fingerprint() == head_before
+
+
+def test_guard_over_variable_cap_is_a_verdict_not_an_internal_error():
+    guard = "(or " + " ".join(f"v{i}" for i in range(70)) + ")"
+    form = (f'(change-set (actor "opus-a1b2") (ops (add workflows (workflow capped'
+            f' (states a b) (initial a) (transition a b (guard {guard}))))))')
+    svc = demo_service()
+    out = parse(svc.handle(f"(what-if {form})"))
+    assert out[1][:2] == (Symbol("verdict"), Symbol("fail"))
+    out = parse(svc.handle(f"(commit-change-set {form})"))
+    assert out[:2] == (Symbol("err"), Symbol("rejected"))
+    assert "guard satisfiability undecided: 70 variables exceeds cap 64" in out[2].text
+
+
 def test_read_system_round_trips():
     svc = demo_service()
     out = parse(svc.handle("(read-system)"))
@@ -540,6 +583,23 @@ def test_cli_reports_broken_wal(demo_tree, tmp_path, capsys, corrupt, named):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("config, ledger", [
+    ("(epochd-config (artifact))", None),
+    ('(epochd-config (artifact "{artifact}") (listen "h" "x"))', None),
+    ('(epochd-config (artifact "{artifact}") (thresholds theta1))', None),
+    ('(epochd-config (artifact "{artifact}") (friction "{ledger}"))',
+     "(agent-friction-ledger (events (friction-event E1 (kind))))"),
+], ids=["artifact", "listen", "thresholds", "ledger"])
+def test_cli_reports_malformed_config_and_ledger(demo_tree, tmp_path, capsys, config, ledger):
+    ledger_path = tmp_path / "friction.sexpr"
+    if ledger is not None:
+        ledger_path.write_text(ledger)
+    config_path = tmp_path / "epochd.conf"
+    config_path.write_text(config.format(artifact=demo_tree, ledger=ledger_path))
+    assert cli.main(["--config", str(config_path), "ping"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_tier_subcommand(demo_tree, capsys):

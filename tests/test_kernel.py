@@ -339,6 +339,20 @@ def test_commit_workflow_with_wide_disjunctive_guard():
     assert k.artifact.workflows[-1].name == "wide-flow"
 
 
+def test_commit_workflow_guard_over_variable_cap_is_undecided():
+    guard = solver.Or([solver.Var(f"v{i}") for i in range(70)])
+    wf = Workflow("capped-flow", ("draft", "released"), "draft",
+                  (Transition("draft", "released", guard),))
+    k = demo_kernel()
+    result = k.commit_change_set(ChangeSet(
+        ops=(AddOp("workflows", encode_workflow(wf)),),
+        actor="opus-a1b2", intent="add capped-flow"))
+    assert not result.accepted
+    [violation] = result.verdict.violations
+    assert violation.kind == "workflow-satisfiability"
+    assert "guard satisfiability undecided: 70 variables exceeds cap 64" in violation.message
+
+
 # -------------------------------------------------------- incremental
 
 

@@ -107,6 +107,11 @@ def test_prop_var_cap():
         check_sat_prop([big])
 
 
+def test_check_sat_over_var_cap_is_unknown():
+    res = solver.check_sat([Or([Var(f"v{i}") for i in range(70)])])
+    assert res.is_unknown and res.reason == "70 variables exceeds cap 64"
+
+
 def test_prop_implication_chain_26_vars():
     # A chain of implications over 26 variables is sat until its end is denied.
     parts = [f(f"(implies c{i} c{i + 1})") for i in range(25)]

@@ -193,6 +193,20 @@ def test_load_names_torn_last_entry(tmp_path, keep):
         wal.load_history(str(tmp_path))
 
 
+def test_load_names_entry_whose_snapshot_will_not_decode(tmp_path):
+    entry = wal.make_entry(0, wal.ZERO_DIGEST, "(nidus-system 3)", wal.Attestation(agent="a"))
+    wal.save_entry(str(tmp_path), entry)
+    with pytest.raises(wal.WalError, match=f"000000{wal.ENTRY_SUFFIX}: artifact: "):
+        wal.load_history(str(tmp_path))
+
+
+def test_load_refuses_entry_out_of_sequence(tmp_path):
+    wal.save_entry(str(tmp_path), wal.make_entry(5, wal.ZERO_DIGEST, sandbox.DEMO_ARTIFACT,
+                                                 wal.Attestation(agent="a")))
+    with pytest.raises(wal.ChainMismatch, match="index 5 out of sequence"):
+        wal.load_history(str(tmp_path))
+
+
 # --------------------------------------------------- retroactive check
 
 
