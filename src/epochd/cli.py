@@ -122,9 +122,6 @@ def _render_node(node) -> str:
 
 # ------------------------------------------------------- verb mapping
 
-_SCOPED = {"connect", "config", "artifact", "base_dir", "wal_dir", "friction",
-           "command", "func"}
-
 
 def _request_form(args) -> SList:
     items = [Symbol(args.verb)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import socketserver
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import coordination as co
 from . import evidence as ev

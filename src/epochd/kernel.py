@@ -124,24 +124,20 @@ class Kernel:
         self._approvals: set = set()  # (actor, change_set fingerprint) passed what_if
         self.warnings: tuple = ()
 
-        if resume_history is not None and len(resume_history):
-            # History's constructor has already validated the chain.
-            head = resume_history.head
-            artifact = resume_history.artifact_at(head.index)
-            self.artifact = artifact
-            self.books = self._resolve_books(artifact)
-            self._check_books(self.books)
-            self.history = resume_history
-            return
-
+        self.history = resume_history or wal.History()
+        if self.history.head is not None:
+            artifact = self.history.artifact_at(self.history.head.index)
         self.artifact = artifact
         self.books = self._resolve_books(artifact)
         self._check_books(self.books)
-        self.history = wal.History()
+        if self.history.head is None:
+            self._record_genesis(verify_initial)
+        self.history.validate()  # start only on a chain whose digests all check
 
+    def _record_genesis(self, verify_initial: bool):
         if verify_initial:
             verdict = obligations.evaluate(
-                artifact, self.effective(), registry=self.registry,
+                self.artifact, self.effective(), registry=self.registry,
                 witnesses=self.witnesses, now=self.clock(),
             )
             if not verdict.passed:
@@ -152,11 +148,11 @@ class Kernel:
         genesis = wal.Attestation(
             agent="kernel", features=(), verdict="pass",
             fingerprint_before=wal.ZERO_DIGEST,
-            fingerprint_after=artifact_fingerprint(artifact),
+            fingerprint_after=self.head_fingerprint(),
             timestamp=format_rfc3339(self.clock()),
             intent="genesis",
         )
-        entry = self.history.append(artifact, genesis)
+        entry = self.history.append(self.artifact, genesis)
         if self.wal_dir:
             wal.save_entry(self.wal_dir, entry)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from . import solver
 from .model import AddOp, Artifact, ChangeSet, Lesson, encode_lesson
-from .solver import Implies, Not, Var
+from .solver import Implies, Var
 
 
 class LessonError(Exception):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import cached_property, partial
 
 from . import sexpr, solver
 from .sexpr import TEXT, Integer, Record, SList, String, Symbol, read_head, read_values
@@ -32,10 +32,6 @@ SECTION_ORDER = (
 FEATURE_STATUSES = ("open", "claimed", "delivered")
 
 HEAD_SYMBOL = "nidus-system"
-
-ARTIFACT_SUFFIX = ".epoch"
-GUIDEBOOK_SUFFIX = ".guidebook.epoch"
-FRICTION_SUFFIX = ".friction.epoch"
 
 
 class ModelError(Exception):
@@ -267,6 +263,11 @@ class Artifact:
 
     def delivered_ids(self) -> frozenset:
         return frozenset(f.id for f in self.features if f.status == "delivered")
+
+    @cached_property
+    def text(self) -> str:
+        """Canonical text of this state, encoded at most once."""
+        return encode_text(self)
 
 
 # ----------------------------------------------------------- decode
@@ -651,7 +652,7 @@ def encode_text(a: Artifact) -> str:
 
 
 def artifact_fingerprint(a: Artifact) -> str:
-    return sexpr.fingerprint_text(encode_text(a))
+    return sexpr.fingerprint_text(a.text)
 
 
 # -------------------------------------------------------- change sets

@@ -21,8 +21,6 @@ from .model import (
     ProofObligation,
     UpdateOp,
     decode_text,
-    encode_text,
-    feature_ids_touched,
 )
 from .sexpr import Integer, Record, SList, String, Symbol, read_head
 
@@ -428,7 +426,7 @@ def eval_spec_precedes_code(ctx: EvalContext) -> list:
 def eval_conformance(ctx: EvalContext) -> list:
     ctx.tally()
     try:
-        decode_text(encode_text(ctx.artifact))
+        decode_text(ctx.artifact.text)
     except ModelError as err:
         return [ctx.violation(ctx.artifact.name, f"re-encoding failed validation: {err}")]
     return []

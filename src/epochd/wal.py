@@ -3,7 +3,9 @@ report projections derivable from it.
 
 Each entry stores a full canonical snapshot, so any historical state
 is readable without replay and every report is a pure query over the
-chain.
+chain. In memory the log keeps each entry beside the state it records:
+the artifact the gate accepted, or the one decoded from its file when
+the log was loaded. Retroactive replay reads those states in place.
 """
 
 from __future__ import annotations
@@ -126,16 +128,14 @@ def entry_from_sexpr(form) -> WalEntry:
 
 
 class History:
-    """In-memory chain with derived feature indexes."""
+    """In-memory chain. Entry i is kept beside states[i], the artifact
+    state it records, each held once; the first index at which each
+    feature id appears is derived as entries are admitted."""
 
-    def __init__(self, entries=()):
+    def __init__(self):
         self.entries: list = []
-        self._decoded: dict = {}
+        self.states: list = []
         self._first_seen: dict = {}
-        self._first_delivered: dict = {}
-        for e in entries:
-            self._admit(e)
-        self.validate()
 
     def __len__(self):
         return len(self.entries)
@@ -147,35 +147,27 @@ class History:
     def head(self) -> WalEntry | None:
         return self.entries[-1] if self.entries else None
 
-    def _admit(self, entry: WalEntry):
+    def _admit(self, entry: WalEntry, state: Artifact):
         idx = len(self.entries)
         self.entries.append(entry)
-        art = self.artifact_at(idx)
-        for f in art.features:
+        self.states.append(state)
+        for f in state.features:
             self._first_seen.setdefault(f.id, idx)
-            if f.status == "delivered":
-                self._first_delivered.setdefault(f.id, idx)
 
     def artifact_at(self, index: int) -> Artifact:
-        if index not in self._decoded:
-            self._decoded[index] = model.decode_text(self.entries[index].snapshot)
-        return self._decoded[index]
+        return self.states[index]
 
     def first_index_with_feature(self, fid: str) -> int | None:
         return self._first_seen.get(fid)
 
-    def first_delivered_index(self, fid: str) -> int | None:
-        return self._first_delivered.get(fid)
-
     def append(self, artifact: Artifact, attestation: Attestation) -> WalEntry:
-        snapshot = model.encode_text(artifact)
         parent = self.head.entry_digest if self.head else ZERO_DIGEST
         expected_before = self.head.state_digest if self.head else ZERO_DIGEST
         if attestation.fingerprint_before != expected_before:
             raise ChainMismatch(len(self.entries),
                                 "attestation parent fingerprint does not match head")
-        entry = make_entry(len(self.entries), parent, snapshot, attestation)
-        self._admit(entry)
+        entry = make_entry(len(self.entries), parent, artifact.text, attestation)
+        self._admit(entry, artifact)
         return entry
 
     def validate(self):
@@ -196,8 +188,20 @@ class History:
                 raise ChainMismatch(i, "entry digest does not match contents")
             parent = e.entry_digest
 
-    def prefix(self, length: int) -> "History":
-        return History(self.entries[:length])
+
+@dataclass(frozen=True)
+class _Prefix:
+    """The first `length` entries of a history, read in place: what
+    an obligation evaluated at entry `length` sees of the log."""
+    history: History
+    length: int
+
+    def __len__(self):
+        return self.length
+
+    def first_index_with_feature(self, fid: str) -> int | None:
+        idx = self.history.first_index_with_feature(fid)
+        return idx if idx is not None and idx < self.length else None
 
 
 # ------------------------------------------------------------- disk
@@ -218,11 +222,6 @@ def save_entry(directory: str, entry: WalEntry):
     os.replace(head_tmp, os.path.join(directory, HEAD_NAME))
 
 
-def save_history(directory: str, history: History):
-    for entry in history.entries:
-        save_entry(directory, entry)
-
-
 def load_history(directory: str) -> History:
     names = sorted(
         n for n in os.listdir(directory) if n.endswith(ENTRY_SUFFIX)
@@ -232,7 +231,8 @@ def load_history(directory: str) -> History:
         path = os.path.join(directory, name)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                history._admit(entry_from_sexpr(sexpr.parse(fh.read())))
+                entry = entry_from_sexpr(sexpr.parse(fh.read()))
+            history._admit(entry, model.decode_text(entry.snapshot))
         except (UnicodeDecodeError, sexpr.SexprError, WalError, model.ModelError) as err:
             raise WalError(f"{path}: {err}") from err
     history.validate()
@@ -266,7 +266,9 @@ def retroactive_verify(history: History, candidate, n: int, *,
                        registry=None, witnesses=None) -> RetroVerdict:
     """Evaluate a candidate obligation against the last n recorded
     states. Safe means the candidate would not have rejected any of
-    them; over-constrained lists the states it would have rejected."""
+    them; over-constrained lists the states it would have rejected.
+    State i is evaluated against the first i entries of the same
+    history, read in place: nothing is re-validated or decoded."""
     from . import obligations as ob_mod
 
     if witnesses is None:
@@ -279,7 +281,7 @@ def retroactive_verify(history: History, candidate, n: int, *,
         baseline = history.artifact_at(index - 1) if index > 0 else None
         verdict = ob_mod.evaluate(
             artifact, (candidate,), registry=registry, baseline=baseline,
-            history=history.prefix(index), witnesses=witnesses,
+            history=_Prefix(history, index), witnesses=witnesses,
         )
         if not verdict.passed:
             findings.append((index, verdict.violations))
@@ -411,5 +413,5 @@ __all__ = [
     "WalError", "ZERO_DIGEST", "attestation_from_sexpr", "attestation_to_sexpr",
     "compliance_report", "entry_from_sexpr", "entry_to_sexpr", "impact_analysis",
     "load_history", "make_entry", "render_matrix", "retroactive_verify",
-    "save_entry", "save_history", "traceability_matrix",
+    "save_entry", "traceability_matrix",
 ]

@@ -444,6 +444,50 @@ def test_wal_directory_round_trip(tmp_path):
     assert loaded.artifact_at(1).feature("FEAT-01").status == "delivered"
 
 
+def count_codec_calls(monkeypatch) -> dict:
+    """Count model.encode_text and model.decode_text calls at every
+    binding site from here on."""
+    calls = {"encode": 0, "decode": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(model, "encode_text", counted("encode", model.encode_text))
+    decode = counted("decode", model.decode_text)
+    monkeypatch.setattr(model, "decode_text", decode)
+    monkeypatch.setattr(obligations, "decode_text", decode)
+    return calls
+
+
+def test_accepted_commit_encodes_once_and_decodes_nothing(tmp_path, monkeypatch):
+    k = demo_kernel(wal_dir=str(tmp_path))
+    cs = deliver_feat01()
+    calls = count_codec_calls(monkeypatch)
+    result = k.commit_change_set(cs)
+    assert result.accepted
+    assert calls == {"encode": 1, "decode": 0}
+    assert k.history.head.snapshot == k.artifact.text
+
+
+def test_retroactive_verify_on_loaded_history_decodes_nothing(tmp_path, monkeypatch):
+    k = demo_kernel(wal_dir=str(tmp_path))
+    assert k.commit_change_set(deliver_feat01()).accepted
+    assert k.commit_change_set(ChangeSet(
+        ops=(AddOp("requirements", encode_requirement(
+                 Requirement("FR-09", "functional", "DDD", "log every verdict"))),
+             AddOp("traceability", encode_trace(Trace("TR-09", "FR-09", "Brain", "Verdict")))),
+        actor="opus-a1b2", intent="add FR-09")).accepted
+    loaded = wal.load_history(str(tmp_path))
+    calls = count_codec_calls(monkeypatch)
+    for kind in ("spec-precedes-code", "delivery-cascade"):
+        candidate = obligations.synthetic_obligation("PO-CAND", kind)
+        assert wal.retroactive_verify(loaded, candidate, len(loaded)).safe
+    assert calls == {"encode": 0, "decode": 0}
+
+
 def test_guidebook_mutation_is_reresolved_at_gate():
     from epochd import sexpr
     k = demo_kernel()

@@ -2,10 +2,12 @@
 retroactive obligation check, and the report projections."""
 
 import dataclasses
+import random
 
 import pytest
 
-from epochd import model, obligations, sandbox, sexpr, wal
+from epochd import kernel as kn
+from epochd import model, obligations, sandbox, sexpr, simulate, wal
 from epochd.model import Artifact, Feature, Requirement, Scope, Trace
 
 STAMP = "2026-03-10T12:00:00Z"
@@ -132,19 +134,8 @@ def test_history_feature_indexes():
                              for f in base.features))
     push(h, after)
     assert h.first_index_with_feature("FEAT-01") == 0
-    assert h.first_delivered_index("FEAT-01") == 1
     assert h.first_index_with_feature("FEAT-99") is None
     assert h.artifact_at(0).feature("FEAT-01").status != "delivered"
-
-
-def test_prefix_is_a_valid_chain():
-    h = wal.History()
-    a = demo()
-    for _ in range(4):
-        push(h, a)
-    p = h.prefix(2)
-    assert len(p) == 2
-    assert p.head.entry_digest == h.entries[1].entry_digest
 
 
 # --------------------------------------------------------------- disk
@@ -247,11 +238,91 @@ def test_retroactive_recent_window_is_safe():
     assert wal.retroactive_verify(h, candidate, 3).safe
 
 
+def test_retroactive_replay_sees_only_earlier_entries():
+    """spec-precedes-code replayed at entry i sees the first i entries:
+    a feature is flagged only where it is declared and delivered at
+    once, never when an earlier entry declared it, even if a later one
+    removed it again."""
+    reqs = (Requirement("R-1", "functional", "RAD", "base requirement"),)
+    scope = Scope(("R-1",), ("src/x.py",), ("tests/test_x.py",))
+
+    def feat(fid, status="open"):
+        return Feature(fid, fid.lower(), status, scope)
+
+    a, b = feat("FEAT-A", "delivered"), feat("FEAT-B", "delivered")
+    states = [
+        (),
+        (a,),                                 # A declared and delivered at once
+        (a, feat("FEAT-B")),                  # B declared
+        (a, b),                               # B delivered
+        (a, b, feat("FEAT-C")),               # C declared
+        (a, b),                               # C removed
+        (a, b, feat("FEAT-C", "delivered")),  # C re-added and delivered
+    ]
+    h = wal.History()
+    for i, features in enumerate(states):
+        push(h, Artifact(name="replay-fixture", requirements=reqs, features=features),
+             intent=f"state {i}")
+    candidate = obligations.synthetic_obligation("PO-SPEC", "spec-precedes-code")
+    verdict = wal.retroactive_verify(h, candidate, len(h))
+    assert [idx for idx, _ in verdict.findings] == [1]
+    assert [v.subject for v in verdict.findings[0][1]] == ["FEAT-A"]
+    assert wal.retroactive_verify(h, candidate, len(h) - 2).safe
+
+
 def test_retroactive_n_clamped_to_history():
     h = retro_history()
     candidate = obligations.synthetic_obligation("PO-CASCADE", "delivery-cascade")
     verdict = wal.retroactive_verify(h, candidate, 999)
     assert [idx for idx, _ in verdict.findings] == [4]
+
+
+def test_restart_reads_back_the_states_the_log_keeps(tmp_path):
+    """Differential oracle over the criterion-4 fuzz stream: the log a
+    kernel writes, loaded back, holds the very states the kernel kept
+    in memory, each under its recorded digest, and replay over either
+    finds the same violations."""
+    from test_acceptance import _fuzz_ops
+
+    rng = random.Random(2026)
+    clock = simulate.SimClock()
+    witnesses = obligations.DEFAULT_WITNESSES | frozenset(["governance-audit-not"])
+    k = kn.Kernel(sandbox.simulation_artifact(4), clock=clock, witnesses=witnesses,
+                  wal_dir=str(tmp_path))
+    actors = [f"fuzzer-{i}" for i in range(6)]
+    steps = 0
+    while steps < 300:
+        cs = _fuzz_ops(rng, k, actors)
+        clock.tick()
+        if cs is not None:
+            steps += 1
+            k.commit_change_set(cs)
+
+    kept = k.history
+    loaded = wal.load_history(str(tmp_path))
+    assert loaded.entries == kept.entries
+    assert len(kept) > 50
+    for i in range(len(kept)):
+        state = loaded.artifact_at(i)
+        assert state == kept.artifact_at(i), f"entry {i}"
+        assert model.artifact_fingerprint(state) == loaded.entries[i].state_digest
+
+    cyclic = model.ProofObligation("PO-CYCLE", "call-graph-dag", "cyclic candidate",
+                                   params=sexpr.parse("(modules (a b) (b a))"))
+    candidates = (
+        (obligations.synthetic_obligation("PO-PROV", "evidence-provenance"),
+         frozenset(["ci-pipeline"])),
+        (cyclic, None),
+        (obligations.synthetic_obligation("PO-SPEC", "spec-precedes-code"), None),
+    )
+    flagged = []
+    for candidate, narrowed in candidates:
+        in_memory = wal.retroactive_verify(kept, candidate, len(kept), witnesses=narrowed)
+        on_disk = wal.retroactive_verify(loaded, candidate, len(loaded), witnesses=narrowed)
+        assert on_disk == in_memory, candidate.id
+        flagged.append(len(in_memory.findings))
+    assert 0 < flagged[0] < len(kept)
+    assert flagged[1:] == [len(kept), 0]
 
 
 # -------------------------------------------------------- projections
