@@ -8,6 +8,7 @@ recording friction never has to pass the mutation gate.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
@@ -177,8 +178,11 @@ def _event_from_sexpr(row) -> FrictionEvent:
 
 
 def save_ledger(path: str, ledger: FrictionLedger):
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write beside `path`, then rename: a failed write leaves it whole."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(ledger_to_text(ledger) + "\n")
+    os.replace(tmp, path)
 
 
 def load_ledger(path: str) -> FrictionLedger:

@@ -89,10 +89,11 @@ def build_service(cfg: DaemonConfig) -> "KernelService":
     witnesses = obligations.DEFAULT_WITNESSES | frozenset(cfg.witnesses)
     kernel = kn.Kernel(
         artifact, base_dir=base_dir, wal_dir=cfg.wal_dir or None,
-        ledger=ledger, witnesses=witnesses, theta1=cfg.theta1,
-        theta2=cfg.theta2, window=cfg.window, resume_history=resume)
+        friction_path=cfg.friction_path, ledger=ledger, witnesses=witnesses,
+        theta1=cfg.theta1, theta2=cfg.theta2, window=cfg.window,
+        resume_history=resume)
     runner = ev.make_command_runner(list(cfg.runner_template))
-    return KernelService(kernel, runner=runner, friction_path=cfg.friction_path)
+    return KernelService(kernel, runner=runner)
 
 
 # ----------------------------------------------------------- encoding
@@ -121,6 +122,11 @@ def _lines_form(text: str) -> SList:
     return SList([Symbol("lines")] + [String(line) for line in text.splitlines()])
 
 
+def _rejected(result) -> str:
+    return err("rejected", obligations.render_verdict(result.verdict),
+               _violations_form(result.verdict.violations))
+
+
 def response_lines(form) -> str:
     """Rejoin a (lines "…" …) payload into the original text."""
     return "\n".join(n.text for n in form.items[1:] if isinstance(n, String))
@@ -135,12 +141,10 @@ class ServiceError(Exception):
 class KernelService:
     """One artifact's verbs behind handle(text) -> text."""
 
-    def __init__(self, kernel: kn.Kernel, *, runner=None, file_reader=None,
-                 friction_path: str = ""):
+    def __init__(self, kernel: kn.Kernel, *, runner=None, file_reader=None):
         self.kernel = kernel
         self.runner = runner if runner is not None else (lambda paths: (False, "no runner configured"))
         self.file_reader = file_reader
-        self.friction_path = friction_path
         self._verbs = {
             "ping": self._ping,
             "read-system": self._read_system,
@@ -182,10 +186,6 @@ class KernelService:
             return err("bad-args", str(e))
         except Exception as e:  # totality: no verb may kill the service
             return err("internal", f"{type(e).__name__}: {e}")
-
-    def _persist_friction(self):
-        if self.friction_path:
-            co.save_ledger(self.friction_path, self.kernel.ledger)
 
     def _arg(self, args, index, what):
         if index >= len(args):
@@ -229,35 +229,25 @@ class KernelService:
         if len(args) > 1:
             expected = self._arg_text(args, 1, "expected fingerprint")
         result = self.kernel.commit_change_set(cs, expected)
-        self._persist_friction()
         if result.accepted:
-            head = self.kernel.history.head
             return ok(SList((
                 Symbol("committed"),
-                SList((Symbol("index"), Integer(head.index))),
-                SList((Symbol("digest"), String(head.entry_digest))),
+                SList((Symbol("index"), Integer(result.entry.index))),
+                SList((Symbol("digest"), String(result.entry.entry_digest))),
             )))
         if result.reason == "stale-state":
             return err("stale-state", "head moved; re-read and retry")
-        return err("rejected", obligations.render_verdict(result.verdict),
-                   _violations_form(result.verdict.violations))
+        return _rejected(result)
 
     def _claim(self, args):
         agent = self._arg_text(args, 0, "agent")
         feature_id = self._arg_text(args, 1, "feature id")
-        out = co.claim_feature(
-            self.kernel.artifact, self.kernel.ledger, agent, feature_id,
-            self.kernel.clock(), theta1=self.kernel.theta1,
-            theta2=self.kernel.theta2, window=self.kernel.window)
-        if isinstance(out, co.Refusal):
-            self._persist_friction()
-            return err("refused", f"{out.reason}: {out.detail}")
-        result = self.kernel.commit_change_set(out)
-        self._persist_friction()
+        result = self.kernel.claim(agent, feature_id)
+        if isinstance(result, co.Refusal):
+            return err("refused", f"{result.reason}: {result.detail}")
         if not result.accepted:
-            return err("rejected", obligations.render_verdict(result.verdict),
-                       _violations_form(result.verdict.violations))
-        claim = self.kernel.artifact.claim_on(feature_id)
+            return _rejected(result)
+        claim = self.kernel.history.artifact_at(result.entry.index).claim_on(feature_id)
         return ok(SList((Symbol("claimed"), Symbol(feature_id),
                          SList((Symbol("lease"), String(claim.lease_expires))))))
 
@@ -270,28 +260,18 @@ class KernelService:
         if isinstance(out, ev.GateFailure):
             return err("gate-failed", out.detail)
         result = self.kernel.commit_change_set(out)
-        self._persist_friction()
         if not result.accepted:
-            return err("rejected", obligations.render_verdict(result.verdict),
-                       _violations_form(result.verdict.violations))
-        record = self.kernel.artifact.evidence[-1]
+            return _rejected(result)
+        record = self.kernel.history.artifact_at(result.entry.index).evidence[-1]
         return ok(SList((Symbol("evidence"), Symbol(feature_id),
                          SList((Symbol("hash"), String(record.hash))))))
 
     def _record_lesson(self, args):
         actor = self._arg_text(args, 0, "actor")
         lesson = model.decode_lesson(self._arg(args, 1, "lesson form"))
-        cs = ls.record_lesson(self.kernel.artifact, lesson, actor=actor)
-        result = self.kernel.commit_change_set(cs)
+        result = self.kernel.record_lesson(actor, lesson)
         if not result.accepted:
-            self._persist_friction()
-            return err("rejected", obligations.render_verdict(result.verdict),
-                       _violations_form(result.verdict.violations))
-        # crystallizing a failure earns standing credit
-        self.kernel.ledger.record(
-            "lesson_recorded", actor,
-            model.format_rfc3339(self.kernel.clock()))
-        self._persist_friction()
+            return _rejected(result)
         return ok(SList((Symbol("recorded"), Symbol(lesson.id))))
 
     def _lessons_for_scope(self, args):
@@ -315,15 +295,10 @@ class KernelService:
         return ok(SList((Symbol("over-constrained"), entries)))
 
     def _health(self, args):
-        effective = self.kernel.effective()
-        verdict = obligations.evaluate(
-            self.kernel.artifact, effective, registry=self.kernel.registry,
-            history=self.kernel.history, probes=self.kernel._probes(),
-            witnesses=self.kernel.witnesses, now=self.kernel.clock())
-        count = Integer(len(effective))
+        count, verdict = self.kernel.health()
         if verdict.passed:
-            return ok(SList((Symbol("pass"), count)))
-        return ok(SList((Symbol("fail"), count,
+            return ok(SList((Symbol("pass"), Integer(count))))
+        return ok(SList((Symbol("fail"), Integer(count),
                          _violations_form(verdict.violations))))
 
     def _matrix(self, args):
@@ -364,29 +339,22 @@ class KernelService:
 # ----------------------------------------------------------- framing
 
 
-def _incomplete(error: sexpr.SexprError) -> bool:
-    return isinstance(error, (sexpr.UnbalancedParens, sexpr.UnterminatedString))
-
-
 def read_form_text(readline) -> str | None:
-    """Accumulate lines until they parse as one complete form. Returns
-    the raw text, or None when the stream ends cleanly. Hopeless input
-    is returned as-is so the handler can answer (err parse ...)."""
+    """Accumulate lines until they hold one complete form, or exceed
+    MAX_REQUEST_BYTES. Returns the raw text, which the handler parses,
+    or None when the stream ends cleanly."""
     buf = ""
+    framer = sexpr.Framer()
     while True:
         line = readline()
         if not line:
             return buf if buf.strip() else None
-        buf += line if isinstance(line, str) else line.decode("utf-8")
+        line = line if isinstance(line, str) else line.decode("utf-8")
+        buf += line
         if not buf.strip():
             buf = ""
             continue
-        try:
-            sexpr.parse(buf)
-            return buf
-        except sexpr.SexprError as e:
-            if _incomplete(e) and len(buf) <= MAX_REQUEST_BYTES:
-                continue
+        if framer.feed(line) or len(buf) > MAX_REQUEST_BYTES:
             return buf
 
 

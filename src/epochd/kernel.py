@@ -12,21 +12,18 @@ from __future__ import annotations
 import resource
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from . import coordination, guidebook as gb, model, obligations, wal
+from . import coordination, guidebook as gb, lessons, model, obligations, wal
 from .model import (
-    AddOp,
     Artifact,
     ChangeSet,
+    Lesson,
     ModelError,
-    Trace,
-    UpdateOp,
     apply_change_set,
     artifact_fingerprint,
     change_set_fingerprint,
-    encode_feature,
-    encode_trace,
     feature_ids_touched,
     format_rfc3339,
     sections_touched,
@@ -90,7 +87,7 @@ def ratchet_violations(before: RatchetState, after: RatchetState) -> list:
 class CommitResult:
     accepted: bool
     verdict: Verdict
-    attestation: wal.Attestation | None = None
+    entry: wal.WalEntry | None = None  # the log entry an accepted commit wrote
     reason: str = ""
 
 
@@ -100,17 +97,19 @@ def _heap_bytes() -> int:
 
 class Kernel:
     """Single-writer gate over one artifact, its guidebooks, its WAL,
-    and its friction ledger."""
+    and its friction ledger. Every public call holds the gate lock
+    while it reads or changes any of them."""
 
     def __init__(self, artifact: Artifact, *, guidebook_reader=None, base_dir: str = ".",
                  registry=None, witnesses=None, wal_dir: str | None = None,
-                 clock=None, probe_source=None, ledger=None,
+                 friction_path: str = "", clock=None, probe_source=None, ledger=None,
                  theta1: float = coordination.DEFAULT_THETA1,
                  theta2: float = coordination.DEFAULT_THETA2,
                  window: int = coordination.DEFAULT_WINDOW,
                  verify_initial: bool = True,
                  resume_history: wal.History | None = None):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        self._depth = 0  # nesting of the gate lock held by its owner
         self.registry = registry if registry is not None else obligations.builtin_registry()
         self.witnesses = frozenset(witnesses) if witnesses else obligations.DEFAULT_WITNESSES
         self.clock = clock if clock is not None else model.utcnow
@@ -118,6 +117,7 @@ class Kernel:
         self.ledger = ledger if ledger is not None else coordination.FrictionLedger()
         self.theta1, self.theta2, self.window = theta1, theta2, window
         self.wal_dir = wal_dir
+        self.friction_path = friction_path
         self._reader = guidebook_reader
         self._base_dir = base_dir
         self._last_verification_ms = 0
@@ -152,11 +152,23 @@ class Kernel:
             timestamp=format_rfc3339(self.clock()),
             intent="genesis",
         )
-        entry = self.history.append(self.artifact, genesis)
-        if self.wal_dir:
-            wal.save_entry(self.wal_dir, entry)
+        self.history.append(self.artifact, genesis, self.wal_dir)
 
     # ------------------------------------------------------- plumbing
+
+    @contextmanager
+    def _gate(self):
+        """Hold the gate lock. The outermost holder writes the friction
+        ledger on its way out, once, if an event was recorded inside."""
+        with self._lock:
+            self._depth += 1
+            events = len(self.ledger)
+            try:
+                yield
+            finally:
+                self._depth -= 1
+                if not self._depth and self.friction_path and len(self.ledger) != events:
+                    coordination.save_ledger(self.friction_path, self.ledger)
 
     def _resolve_books(self, a: Artifact) -> tuple:
         if not a.guidebook_imports:
@@ -182,12 +194,11 @@ class Kernel:
     def _probes(self) -> RuntimeProbes:
         if self.probe_source is not None:
             return self.probe_source(self)
-        head = self.history.head
         return RuntimeProbes(
             heap_bytes=_heap_bytes(),
             last_verification_ms=self._last_verification_ms,
             in_memory_fingerprint=self.head_fingerprint(),
-            wal_head_fingerprint=head.state_digest if head else self.head_fingerprint(),
+            wal_head_fingerprint=self.history.head.state_digest,
         )
 
     def _fail(self, ob_id: str, kind: str, subject: str, message: str) -> Verdict:
@@ -288,7 +299,7 @@ class Kernel:
         """Full speculative evaluation; persists nothing and records
         no friction. A pass is remembered as the supervised-commit
         approval for this exact change set."""
-        with self._lock:
+        with self._gate():
             verdict, _, _ = self._gate_verdict(cs, None)
             if verdict.passed:
                 self._approvals.add((cs.actor, change_set_fingerprint(cs)))
@@ -298,14 +309,14 @@ class Kernel:
         """Incremental check: only obligation kinds the touched
         sections can affect, plus the always-run kinds and the cheap
         gate-level guards."""
-        with self._lock:
+        with self._gate():
             kinds = obligations.kinds_for_sections(sections_touched(cs))
             verdict, _, _ = self._gate_verdict(cs, kinds)
             return verdict
 
     def commit_change_set(self, cs: ChangeSet,
                           expected_fingerprint: str | None = None) -> CommitResult:
-        with self._lock:
+        with self._gate():
             if (expected_fingerprint is not None
                     and expected_fingerprint != self.head_fingerprint()):
                 return CommitResult(False, Verdict(), None, "stale-state")
@@ -316,43 +327,71 @@ class Kernel:
                 verdict = verdict.extend(
                     synthetic_obligation("SUPERVISED-COMMIT", "trust-tier"), supervision,
                 )
-            now = self.clock()
-            stamp = format_rfc3339(now)
+            stamp = format_rfc3339(self.clock())
+            touched = feature_ids_touched(cs)
 
             if not verdict.passed:
                 failing = sorted({v.kind for v in verdict.violations})
                 self.ledger.record("agent_rejection", cs.actor, stamp,
-                                   po_kinds=failing,
-                                   feature=next(iter(feature_ids_touched(cs)), ""))
+                                   po_kinds=failing, feature=next(iter(touched), ""))
                 return CommitResult(False, verdict, None, "rejected")
 
-            before_fp = self.head_fingerprint()
             before_delivered = self.artifact.delivered_ids()
-            self.artifact = candidate
-            self.books = books
-            after_fp = self.head_fingerprint()
             attestation = wal.Attestation(
                 agent=cs.actor,
-                features=tuple(feature_ids_touched(cs)),
+                features=tuple(touched),
                 verdict="pass",
-                fingerprint_before=before_fp,
-                fingerprint_after=after_fp,
+                fingerprint_before=self.head_fingerprint(),
+                fingerprint_after=artifact_fingerprint(candidate),
                 timestamp=stamp,
                 intent=cs.intent,
             )
-            entry = self.history.append(candidate, attestation)
-            if self.wal_dir:
-                wal.save_entry(self.wal_dir, entry)
+            # the entry is on disk before the gate serves the new state
+            entry = self.history.append(candidate, attestation, self.wal_dir)
+            self.artifact, self.books = candidate, books
 
             kinds = obligations.kinds_for_sections(sections_touched(cs))
             if kinds is None:
                 kinds = frozenset(ob.kind for ob, _ in verdict.results)
             credited = sorted(kinds)
             self.ledger.record("probe_success", cs.actor, stamp,
-                               po_kinds=credited,
-                               feature=next(iter(feature_ids_touched(cs)), ""))
+                               po_kinds=credited, feature=next(iter(touched), ""))
             self._credit_collaborators(cs, candidate, before_delivered, credited, stamp)
-            return CommitResult(True, verdict, attestation, "committed")
+            return CommitResult(True, verdict, entry, "committed")
+
+    def claim(self, agent: str, feature_id: str):
+        """Claim a feature for an agent: a Refusal, or the result of
+        committing the claim. Taking over a lapsed lease records a
+        lease_expiry event against the previous holder."""
+        with self._gate():
+            out = coordination.claim_feature(
+                self.artifact, self.ledger, agent, feature_id, self.clock(),
+                theta1=self.theta1, theta2=self.theta2, window=self.window)
+            if isinstance(out, coordination.Refusal):
+                return out
+            return self.commit_change_set(out)
+
+    def record_lesson(self, actor: str, lesson: Lesson) -> CommitResult:
+        """Commit a lesson; an accepted one earns its actor standing
+        credit in the friction ledger."""
+        with self._gate():
+            result = self.commit_change_set(
+                lessons.record_lesson(self.artifact, lesson, actor=actor))
+            if result.accepted:
+                self.ledger.record("lesson_recorded", actor,
+                                   format_rfc3339(self.clock()))
+            return result
+
+    def health(self) -> tuple:
+        """(effective obligation count, full verdict with runtime
+        probes) for the head state."""
+        with self._gate():
+            effective = self.effective()
+            verdict = obligations.evaluate(
+                self.artifact, effective, registry=self.registry,
+                history=self.history, probes=self._probes(),
+                witnesses=self.witnesses, now=self.clock())
+            return len(effective), verdict
 
     def _credit_collaborators(self, cs: ChangeSet, candidate: Artifact,
                               before_delivered: frozenset, credited, stamp: str):
@@ -372,68 +411,6 @@ class Kernel:
                 if overlap:
                     self.ledger.record("probe_success", claim.agent, stamp,
                                        po_kinds=credited, feature=fid)
-
-    # ---------------------------------------------------------- repair
-
-    def verified_repair_search(self, cs: ChangeSet, failed: Verdict) -> list:
-        """Template-based fixes for the failure kinds that have one;
-        every returned ChangeSet has passed what_if."""
-        extra_ops = []
-        candidate_state = None
-        try:
-            candidate_state = apply_change_set(self.artifact, cs)
-        except ModelError:
-            return []
-        for v in failed.violations:
-            ops = self._repair_ops(v, candidate_state, len(extra_ops))
-            extra_ops.extend(ops)
-        if not extra_ops:
-            return []
-        repaired = ChangeSet(
-            ops=cs.ops + tuple(extra_ops),
-            actor=cs.actor,
-            intent=cs.intent + " (with verified repair)",
-        )
-        verdict, _, _ = self._gate_verdict(repaired, None)
-        if verdict.passed:
-            self._approvals.add((repaired.actor, change_set_fingerprint(repaired)))
-            return [repaired]
-        return []
-
-    def _repair_ops(self, v: Violation, state: Artifact, salt: int) -> list:
-        if v.kind == "traceability-complete" and state.requirement(v.subject):
-            components = [t.component for t in state.traces
-                          if t.component in state.component_names()]
-            designs = [t.design_element for t in state.traces
-                       if t.design_element in state.design_names() | state.workflow_names()]
-            component = (max(set(components), key=components.count) if components
-                         else next(iter(c.name for c in state.components), None))
-            design = (max(set(designs), key=designs.count) if designs
-                      else next(iter(d.name for d in state.design_elements), None))
-            if component is None or design is None:
-                return []
-            trace_ids = {t.id for t in state.traces}
-            n = salt + 1
-            while f"TR-AUTO-{n}" in trace_ids:
-                n += 1
-            return [AddOp("traceability", encode_trace(
-                Trace(f"TR-AUTO-{n}", v.subject, component, design)))]
-        if v.kind in ("feature-code-test-symmetry", "delivery-cascade"):
-            feat = state.feature(v.subject)
-            if feat is None or feat.scope.test_paths or not feat.scope.code_paths:
-                return []
-            derived = []
-            for path in feat.scope.code_paths:
-                stem = path.rsplit("/", 1)[-1]
-                stem = stem[:-3] if stem.endswith(".py") else stem
-                derived.append(f"tests/test_{stem}.py")
-            import dataclasses as dc
-            new = dc.replace(feat, scope=dc.replace(feat.scope, test_paths=tuple(derived)))
-            return [UpdateOp("features", feat.id, encode_feature(new))]
-        if v.kind == "connector-integrity":
-            if any(c.key == v.subject for c in state.connectors):
-                return [model.RemoveOp("architecture", v.subject)]
-        return []
 
 
 __all__ = [

@@ -198,6 +198,52 @@ def parse_all(text: str) -> list:
     return nodes
 
 
+# Framing modes, each with the characters that can end or change it.
+_FRAME_STOPS = {
+    "blank": re.compile(r"\S"),        # before the first form
+    "list": re.compile(r'[()";]'),
+    "string": re.compile(r'["\\]'),
+    "escape": re.compile(r".", re.S),
+    "comment": re.compile(r"\n"),
+    "stuck": re.compile(r"(?!)"),      # after a leading ')', which never balances
+}
+
+
+class Framer:
+    """Finds where the first top-level form ends in text that arrives
+    piece by piece, by the lexical rules of `parse`. Mode and depth carry
+    over between pieces, so each is scanned once. Escapes and integer
+    ranges are left to `parse`, once the form is framed."""
+
+    def __init__(self):
+        self.mode, self.depth, self.done = "blank", 0, False
+
+    def feed(self, text: str) -> bool:
+        """Scan the next piece; True once the first form has ended."""
+        i = 0
+        while not self.done and (m := _FRAME_STOPS[self.mode].search(text, i)):
+            i, ch, mode = m.end(), m.group(), self.mode
+            if mode == "escape":
+                self.mode = "string"
+            elif mode == "comment":
+                self.mode = "list" if self.depth else "blank"
+            elif mode == "string":
+                self.mode = "escape" if ch == "\\" else "list"
+                self.done = ch == '"' and self.depth == 0
+            elif ch in ';"':
+                self.mode = "comment" if ch == ";" else "string"
+            elif ch == "(":
+                self.mode, self.depth = "list", self.depth + 1
+            elif ch == ")" and mode == "blank":
+                self.mode = "stuck"
+            elif ch == ")":
+                self.depth -= 1
+                self.done = self.depth == 0
+            else:
+                self.done = True  # an atom ends wherever it ends
+        return self.done
+
+
 def escape_string(raw: str) -> str:
     return raw.replace("\\", "\\\\").replace('"', '\\"')
 

@@ -75,12 +75,10 @@ class SimWorld:
         return self.files[path]
 
     def claim(self, agent: str, feature_id: str):
-        out = co.claim_feature(self.kernel.artifact, self.ledger, agent,
-                               feature_id, self.clock())
+        out = self.kernel.claim(agent, feature_id)
         if isinstance(out, co.Refusal):
             self.refused_claims[agent] += 1
-            return out
-        return self.kernel.commit_change_set(out)
+        return out
 
     def submit_gate_evidence(self, agent: str, feature_id: str, witness: str):
         cs = ev.run_evidence_gate(

@@ -160,13 +160,18 @@ class History:
     def first_index_with_feature(self, fid: str) -> int | None:
         return self._first_seen.get(fid)
 
-    def append(self, artifact: Artifact, attestation: Attestation) -> WalEntry:
+    def append(self, artifact: Artifact, attestation: Attestation,
+               directory: str | None = None) -> WalEntry:
+        """Chain a new entry for `artifact`, saved to `directory` if one
+        is given before it is admitted: a failed write changes nothing."""
         parent = self.head.entry_digest if self.head else ZERO_DIGEST
         expected_before = self.head.state_digest if self.head else ZERO_DIGEST
         if attestation.fingerprint_before != expected_before:
             raise ChainMismatch(len(self.entries),
                                 "attestation parent fingerprint does not match head")
         entry = make_entry(len(self.entries), parent, artifact.text, attestation)
+        if directory:
+            save_entry(directory, entry)
         self._admit(entry, artifact)
         return entry
 

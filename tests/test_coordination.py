@@ -1,6 +1,8 @@
 """Friction ledger arithmetic, trust tiers, lease-backed claims,
 reputation routing, and the decay detector."""
 
+import errno
+
 import pytest
 
 from epochd import coordination as co
@@ -285,6 +287,37 @@ def test_ledger_file_round_trip(tmp_path):
     path = str(tmp_path / "friction.epoch")
     co.save_ledger(path, ledger)
     assert co.load_ledger(path).events == ledger.events
+
+
+def test_failed_ledger_write_leaves_previous_file_whole(tmp_path, monkeypatch):
+    path = str(tmp_path / "friction.epoch")
+    ledger = co.FrictionLedger()
+    ledger.record("abandonment", "a", STAMP, feature="FEAT-01")
+    co.save_ledger(path, ledger)
+    saved = open(path, encoding="utf-8").read()
+    ledger.record("probe_success", "b", STAMP)
+
+    class DiskFillsMidWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(co, "open", lambda *a, **kw: DiskFillsMidWrite(open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError):
+        co.save_ledger(path, ledger)
+    monkeypatch.undo()
+    assert open(path, encoding="utf-8").read() == saved
+    assert co.load_ledger(path).events == ledger.events[:1]
 
 
 def test_ledger_rejects_wrong_tag():

@@ -1,8 +1,13 @@
 """Service protocol (in-process and over TCP), config loading,
 WAL-resumed startup, and the command line front end."""
 
+import dataclasses
+import itertools
 import os
+import random
+import sys
 import threading
+from datetime import timedelta
 
 import pytest
 
@@ -18,7 +23,7 @@ NOW = parse_rfc3339(sandbox.DEMO_NOW)
 
 
 def demo_service(**kw):
-    a = model.decode_text(sandbox.DEMO_ARTIFACT)
+    a = kw.pop("artifact", None) or model.decode_text(sandbox.DEMO_ARTIFACT)
     reader = {"epoch.guidebook.epoch": sandbox.DEMO_GUIDEBOOK}.__getitem__
     kw.setdefault("clock", lambda: NOW)
     runner = kw.pop("runner", None)
@@ -279,6 +284,122 @@ def test_impact_analysis_verb():
 def test_unknown_requirement_is_bad_args_not_crash():
     out = parse(demo_service().handle("(impact-analysis REQ-404)"))
     assert out[0] == Symbol("err") and out[1] == Symbol("bad-args")
+
+
+# ------------------------------------------------------ one gate owner
+
+LESSON = ('(lesson {id} (failure "solver timeout")'
+          ' (root-cause "unbounded quantifier") (fix "bound the domain")'
+          ' (obligation "check solver budget")'
+          ' (affected-scope "src/brain.py"))')
+
+
+@pytest.mark.parametrize("hooked", ["make_entry", "save_entry"])
+def test_health_asked_mid_commit_reads_one_consistent_state(tmp_path, monkeypatch, hooked):
+    """artifact-health asked while a commit builds and writes its log
+    entry waits for the gate, so the state-freshness probe compares the
+    in-memory state with the log head of the same commit."""
+    a = model.decode_text(sandbox.DEMO_ARTIFACT)
+    fresh = model.ProofObligation("PO-FRESH", "state-freshness", "memory matches the log")
+    svc = demo_service(artifact=dataclasses.replace(a, obligations=a.obligations + (fresh,)),
+                       wal_dir=str(tmp_path))
+    real = getattr(wal, hooked)
+    probes, replies = [], []
+
+    def hook(*args):
+        probe = threading.Thread(target=lambda: replies.append(svc.handle("(artifact-health)")))
+        probes.append(probe)
+        probe.start()
+        probe.join(timeout=0.5)
+        return real(*args)
+
+    monkeypatch.setattr(wal, hooked, hook)
+    cs = delivery_change_set(test_paths=("tests/test_brain.py",))
+    assert parse(svc.handle(f"(commit-change-set {wire(cs)})"))[0] == Symbol("ok")
+    for probe in probes:
+        probe.join(timeout=10)
+        assert not probe.is_alive()
+    assert len(replies) == 1
+    assert parse(replies[0])[1][0] == Symbol("pass"), replies[0]
+
+
+def test_ledger_written_once_per_request_that_records_an_event(tmp_path, monkeypatch):
+    friction = str(tmp_path / "friction.sexpr")
+    svc = demo_service(friction_path=friction)
+    real, writes = co.save_ledger, []
+    monkeypatch.setattr(co, "save_ledger",
+                        lambda path, ledger: (writes.append(path), real(path, ledger)))
+
+    def writes_for(request, answer):
+        writes.clear()
+        reply = svc.handle(request)
+        assert reply.startswith(answer), reply
+        return len(writes)
+
+    deliver = wire(delivery_change_set(test_paths=("tests/test_brain.py",)))
+    lesson = LESSON.format(id="LSN-1")
+    assert writes_for(f"(record-lesson gemini-8536 {lesson})", "(ok (recorded") == 1
+    assert writes_for("(claim-feature newcomer-9 FEAT-01)", "(err refused") == 0
+    assert writes_for(f"(commit-change-set {wire(delivery_change_set())})", "(err rejected") == 1
+    assert writes_for(f'(commit-change-set {deliver} "{"0" * 64}")', "(err stale-state") == 0
+    assert writes_for("(artifact-health)", "(ok (pass") == 0
+    assert writes_for(f"(commit-change-set {deliver})", "(ok (committed") == 1
+    assert co.load_ledger(friction).events == svc.kernel.ledger.events
+
+
+def test_concurrent_requests_keep_log_ledger_and_disk_in_step(tmp_path):
+    """Claims, contested claims, lessons, commits and health reads from
+    many threads at once on one service: the log on disk is the log in
+    memory, ledger ids are unique, and the friction file is the ledger."""
+    wal_dir, friction = str(tmp_path / "wal"), str(tmp_path / "friction.sexpr")
+    ticks = itertools.count()
+    svc = dm.KernelService(kn.Kernel(
+        sandbox.simulation_artifact(feature_count=4), wal_dir=wal_dir,
+        friction_path=friction, clock=lambda: NOW + timedelta(minutes=20 * next(ticks))))
+    features = [f.id for f in svc.kernel.artifact.features]
+    replies = []
+
+    def requests(n, rng):
+        agent, feature = f"agent-{rng.randrange(4)}", rng.choice(features)
+        req = f'(req XR-{n} (kind functional) (shall "extra {n}"))'
+        trace = f"(trace XT-{n} XR-{n} Engine Record)"
+        return rng.choice([
+            f"(claim-feature {agent} {feature})",
+            f"(claim-feature agent-9 {feature})",  # contested once another holds it
+            f"(record-lesson {agent} {LESSON.format(id=f'LSN-{n}')})",
+            f'(commit-change-set (change-set (actor {agent}) (intent "grow")'
+            f" (ops (add requirements {req}) (add traceability {trace}))))",
+            f'(commit-change-set (change-set (actor {agent}) (intent "untraced")'
+            f" (ops (add requirements {req}))))",
+            "(artifact-health)",
+        ])
+
+    def worker(w):
+        rng = random.Random(w)
+        for i in range(12):
+            replies.append(svc.handle(requests(w * 100 + i, rng)))
+
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(12)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so lost updates show
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+    k = svc.kernel
+    assert len(replies) == 12 * 12
+    assert [r for r in replies if r.startswith("(err internal")] == []
+    assert any(r.startswith("(ok (committed") for r in replies)
+    k.history.validate()
+    assert wal.load_history(wal_dir).entries == k.history.entries
+    ids = [e.id for e in k.ledger.events]
+    assert len(set(ids)) == len(ids)
+    assert co.load_ledger(friction).events == k.ledger.events
 
 
 # ------------------------------------------------------------ framing

@@ -1,5 +1,7 @@
 """Source hygiene: every module under src/epochd uses each name it
-imports. A static check with the standard library's ast module."""
+imports, and reads another object's private `_name` only if it
+defines that name itself. Static checks with the standard library's
+ast module."""
 
 import ast
 import pathlib
@@ -56,3 +58,36 @@ def test_unused_import_is_reported():
               "import json as js\n"
               "@dataclass\nclass A:\n    x: 'js.Any' = 0\n")
     assert unused_imports(source) == ["field", "os"]
+
+
+def foreign_private_reads(source: str) -> list:
+    """(line, name) of each `obj._name` read where the module defines
+    no `_name` of its own: no def, class, assignment or attribute store."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            defined.add(node.attr)
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and node.attr not in defined
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_reads_only_private_names_it_defines(path):
+    assert foreign_private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_private_read_is_reported():
+    source = ("class A:\n"
+              "    def _own(self):\n"
+              "        self._seen = self._own()\n"
+              "        return self._seen, self.kernel._probes(), self.__class__\n")
+    assert foreign_private_reads(source) == [(4, "_probes")]

@@ -1,7 +1,9 @@
 """The mutation gate end to end: verify-before-write, immutability,
-ratchets, tiers, supervision, repair search, and WAL persistence."""
+ratchets, tiers, supervision, claims, lesson credit, and WAL
+persistence."""
 
 import dataclasses
+import errno
 
 import pytest
 
@@ -129,8 +131,8 @@ def test_demo_delivery_with_tests_accepted():
     assert result.accepted
     assert len(k.history) == 2
     assert k.artifact.feature("FEAT-01").status == "delivered"
-    assert result.attestation.fingerprint_after == k.head_fingerprint()
-    assert result.attestation.features == ("FEAT-01",)
+    assert result.entry.attestation.fingerprint_after == k.head_fingerprint()
+    assert result.entry.attestation.features == ("FEAT-01",)
     kinds = [e.kind for e in k.ledger.events]
     assert "probe_success" in kinds and "agent_rejection" not in kinds
 
@@ -375,63 +377,6 @@ def test_precommit_verdict_matches_full_evaluation():
                {(v.obligation_id, v.subject) for v in full.violations}
 
 
-# ------------------------------------------------------------- repair
-
-
-def test_repair_search_completes_missing_test_paths():
-    k = demo_kernel()
-    broken = deliver_feat01(extra_tests=())
-    failed = k.what_if(broken)
-    assert not failed.passed
-    repairs = k.verified_repair_search(broken, failed)
-    assert len(repairs) == 1
-    fixed = repairs[0]
-    assert k.commit_change_set(fixed).accepted
-    feat = k.artifact.feature("FEAT-01")
-    assert feat.scope.test_paths == ("tests/test_brain.py",)
-
-
-def test_repair_search_adds_trace_for_untraced_requirement():
-    k = demo_kernel()
-    cs = ChangeSet(
-        ops=(AddOp("requirements",
-                   encode_requirement(Requirement("NR-01", "functional", "t", "new"))),),
-        actor="a", intent="new requirement")
-    failed = k.what_if(cs)
-    assert not failed.passed
-    repairs = k.verified_repair_search(cs, failed)
-    assert len(repairs) == 1
-    result = k.commit_change_set(repairs[0])
-    assert result.accepted
-    assert any(t.requirement == "NR-01" and t.id.startswith("TR-AUTO-")
-               for t in k.artifact.traces)
-
-
-def test_repair_search_refuses_immutable_removal():
-    k = demo_kernel()
-    assert k.commit_change_set(immutable_po_cs()).accepted
-    cs = ChangeSet(ops=(RemoveOp("proof-obligations", "PO-FROZEN"),),
-                   actor="vandal", intent="unfreeze")
-    failed = k.what_if(cs)
-    assert not failed.passed
-    assert k.verified_repair_search(cs, failed) == []
-
-
-def test_repair_search_never_returns_unverified_candidates():
-    k = demo_kernel()
-    # empty scope everywhere: repair cannot derive tests from nothing
-    a = k.artifact
-    feat = a.feature("FEAT-01")
-    bare = dataclasses.replace(
-        feat, status="delivered",
-        scope=Scope(feat.scope.requirements, (), ()))
-    cs = ChangeSet(ops=(UpdateOp("features", "FEAT-01", encode_feature(bare)),),
-                   actor="a", intent="deliver bare")
-    failed = k.what_if(cs)
-    assert not failed.passed
-    assert k.verified_repair_search(cs, failed) == []
-
-
 # -------------------------------------------------------- persistence
 
 
@@ -442,6 +387,28 @@ def test_wal_directory_round_trip(tmp_path):
     assert len(loaded) == 2
     assert loaded.head.entry_digest == k.history.head.entry_digest
     assert loaded.artifact_at(1).feature("FEAT-01").status == "delivered"
+
+
+def test_failed_entry_write_changes_neither_memory_nor_disk(tmp_path, monkeypatch):
+    k = demo_kernel(wal_dir=str(tmp_path))
+    on_disk = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    head, events = k.artifact, list(k.ledger.events)
+
+    def disk_full(directory, entry):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(wal, "save_entry", disk_full)
+    with pytest.raises(OSError):
+        k.commit_change_set(deliver_feat01())
+    assert len(k.history) == 1
+    assert k.artifact is head and k.artifact.feature("FEAT-01").status == "claimed"
+    assert k.ledger.events == events
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == on_disk
+
+    monkeypatch.undo()
+    result = k.commit_change_set(deliver_feat01())
+    assert result.accepted and result.entry.index == 1
+    assert wal.load_history(str(tmp_path)).entries == k.history.entries
 
 
 def count_codec_calls(monkeypatch) -> dict:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import random
 import re
 import tempfile
 
@@ -386,3 +387,69 @@ def test_every_reader_refuses_one_mutation_with_its_own_error(data):
         read(_replaced(tree, path, SList(items)))
     except errors:
         pass
+
+
+# ------------------------------------------------------------ framing
+
+
+def parse_framed(readline):
+    """The framing rule the daemon used before it had a scanner, kept
+    as the oracle: re-parse the whole buffer after every line and read
+    on while the only fault is a missing end."""
+    buf = ""
+    while True:
+        line = readline()
+        if not line:
+            return buf if buf.strip() else None
+        buf += line
+        if not buf.strip():
+            buf = ""
+            continue
+        try:
+            parse(buf)
+            return buf
+        except (UnbalancedParens, UnterminatedString):
+            if len(buf) > dm.MAX_REQUEST_BYTES:
+                return buf
+        except sexpr.SexprError:
+            return buf
+
+
+# Texts from the tests above, complete, unfinished or with trailing
+# content, plus multi-line records with comments and escapes.
+FRAMING_TEXTS = [
+    "hello", '"a b"', "-42", "()", '(req FR-01 (shall "classify"))',
+    ";; top note\n(a ;; inline\n b)\n;; tail\n", "( a   1 )", '"x\\"y\\\\z"',
+    '"line one\nline two"', "(a (b)", ")", '"abc', "(a) (b)", "())", str(2**63 - 1),
+    "(a\n 1)", "(a;(\n)", '(s "semi;colon" "par)en")', CONFIG, CONSTRAINT,
+    sandbox.DEMO_ARTIFACT, sandbox.DEMO_GUIDEBOOK, sandbox.DEMO_FRICTION,
+] + [print_canonical(tree) for _, tree, _, _ in READERS]
+
+
+def frames(framing, pieces):
+    it = iter(pieces)
+    out = []
+    while (text := framing(lambda: next(it, ""))) is not None:
+        out.append(text)
+    return out
+
+
+def test_framing_agrees_with_reparse_oracle_on_random_splits():
+    rng = random.Random(7)
+    for _ in range(400):
+        stream = "".join(rng.choice(FRAMING_TEXTS) + rng.choice(["\n", " ", "\n\n", " ; c\n"])
+                         for _ in range(rng.randint(1, 4)))
+        lines = stream.splitlines(keepends=True)
+        cuts = sorted(rng.sample(range(1, len(stream)), min(3, len(stream) - 1)))
+        chunks = [stream[i:j] for i, j in zip([0] + cuts, cuts + [len(stream)])]
+        for pieces in (lines, chunks):
+            assert frames(dm.read_form_text, pieces) == frames(parse_framed, pieces), pieces
+
+
+def test_framing_a_long_form_parses_nothing(monkeypatch):
+    lines = ["(batch\n"] + [f'  (item {i} "value {i}" (tags a b c))\n' for i in range(998)] + [")\n"]
+    calls = []
+    real = sexpr.parse
+    monkeypatch.setattr(sexpr, "parse", lambda text: (calls.append(1), real(text))[1])
+    assert frames(dm.read_form_text, lines) == ["".join(lines)]
+    assert len(lines) == 1000 and calls == []
