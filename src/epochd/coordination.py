@@ -27,7 +27,7 @@ from .model import (
     encode_obligation,
     format_rfc3339,
 )
-from .obligations import SECTION_KINDS
+from .obligations import builtin_registry
 from .sexpr import TEXT, Record, SList, String, Symbol, read_head
 
 EVENT_KINDS = ("agent_rejection", "probe_success", "abandonment", "lease_expiry")
@@ -253,21 +253,14 @@ def reputation(ledger: FrictionLedger, agent: str) -> dict:
 
 
 def implied_kinds(scope: Scope) -> frozenset:
-    """Obligation kinds a feature's scope puts in play, via the same
-    section map the incremental verifier uses: requirement ids touch
-    the requirements section, code paths the features section, test
-    paths the coordination section."""
-    sections = []
-    if scope.requirements:
-        sections.append("requirements")
-    if scope.code_paths:
-        sections.append("features")
-    if scope.test_paths:
-        sections.append("coordination")
-    kinds: set = set()
-    for s in sections:
-        kinds |= SECTION_KINDS[s]
-    return frozenset(kinds)
+    """Obligation kinds a feature's scope puts in play: the built-in
+    kinds that read the sections it touches. Requirement ids touch the
+    requirements section, code paths the features section, test paths
+    the coordination section."""
+    sections = [s for s, paths in (("requirements", scope.requirements),
+                                   ("features", scope.code_paths),
+                                   ("coordination", scope.test_paths)) if paths]
+    return builtin_registry().kinds_reading(sections)
 
 
 def routing_score_for_kinds(rep: dict, kinds) -> float:

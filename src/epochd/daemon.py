@@ -349,7 +349,9 @@ def read_form_text(readline) -> str | None:
         line = readline()
         if not line:
             return buf if buf.strip() else None
-        line = line if isinstance(line, str) else line.decode("utf-8")
+        # a byte that is not UTF-8 is kept as a lone surrogate, so the
+        # frame still ends where it should and the handler refuses it
+        line = line if isinstance(line, str) else line.decode("utf-8", "surrogateescape")
         buf += line
         if not buf.strip():
             buf = ""
@@ -364,7 +366,12 @@ class _Handler(socketserver.StreamRequestHandler):
             text = read_form_text(self.rfile.readline)
             if text is None:
                 return
-            response = self.server.service.handle(text.strip())
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                response = err("parse", "request is not UTF-8 text")
+            else:
+                response = self.server.service.handle(text.strip())
             self.wfile.write(response.encode("utf-8") + b"\n")
             self.wfile.flush()
 

@@ -56,9 +56,6 @@ class WitnessRegistry:
     def registered(self, name: str) -> bool:
         return name in self.names
 
-    def with_extra(self, *extra: str) -> "WitnessRegistry":
-        return WitnessRegistry(self.names | frozenset(extra))
-
 
 def _disk_reader(path: str) -> bytes:
     with open(path, "rb") as fh:

@@ -207,8 +207,8 @@ class Kernel:
 
     # ----------------------------------------------------- evaluation
 
-    def _gate_verdict(self, cs: ChangeSet, kinds) -> tuple:
-        """(verdict, candidate, books). kinds=None means full."""
+    def _gate_verdict(self, cs: ChangeSet, touched) -> tuple:
+        """(verdict, candidate, books). touched=None means full."""
         started = time.monotonic()
         try:
             candidate = apply_change_set(self.artifact, cs)
@@ -237,7 +237,7 @@ class Kernel:
         effective = self.effective(candidate, books)
         try:
             verdict = obligations.evaluate_kinds(
-                candidate, effective, kinds, registry=self.registry,
+                candidate, effective, touched, registry=self.registry,
                 baseline=self.artifact, change_set=cs, history=self.history,
                 probes=self._probes(), witnesses=self.witnesses, now=self.clock(),
             )
@@ -306,12 +306,11 @@ class Kernel:
             return verdict
 
     def precommit_check(self, cs: ChangeSet) -> Verdict:
-        """Incremental check: only obligation kinds the touched
-        sections can affect, plus the always-run kinds and the cheap
-        gate-level guards."""
+        """Incremental check: only the obligations whose declared reads
+        meet the touched sections or include runtime probes, plus the
+        cheap gate-level guards."""
         with self._gate():
-            kinds = obligations.kinds_for_sections(sections_touched(cs))
-            verdict, _, _ = self._gate_verdict(cs, kinds)
+            verdict, _, _ = self._gate_verdict(cs, sections_touched(cs))
             return verdict
 
     def commit_change_set(self, cs: ChangeSet,
@@ -349,11 +348,11 @@ class Kernel:
             # the entry is on disk before the gate serves the new state
             entry = self.history.append(candidate, attestation, self.wal_dir)
             self.artifact, self.books = candidate, books
+            self._approvals.clear()  # each approval was for the old head
 
-            kinds = obligations.kinds_for_sections(sections_touched(cs))
-            if kinds is None:
-                kinds = frozenset(ob.kind for ob, _ in verdict.results)
-            credited = sorted(kinds)
+            sections = sections_touched(cs)
+            credited = sorted({ob.kind for ob, _ in verdict.results
+                               if not self.registry.reads(ob).isdisjoint(sections)})
             self.ledger.record("probe_success", cs.actor, stamp,
                                po_kinds=credited, feature=next(iter(touched), ""))
             self._credit_collaborators(cs, candidate, before_delivered, credited, stamp)

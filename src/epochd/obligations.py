@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from . import predicates, sexpr, solver
 from .model import (
+    SECTION_ORDER,
     Artifact,
     ChangeSet,
     ModelError,
@@ -28,30 +29,6 @@ DEFAULT_WITNESSES = frozenset({"kernel-test-gate", "ci-pipeline", "human-review"
 
 DEFAULT_HEAP_CEILING_BYTES = 8 * 1024 ** 3
 DEFAULT_LATENCY_BOUND_MS = 5000
-
-# Kinds evaluated on every mutation regardless of which sections the
-# change touches. Presence is still governed by the obligation set.
-ALWAYS_RUN_KINDS = frozenset({
-    "conformance", "memory-ceiling", "latency-bound", "state-freshness",
-})
-
-# Incremental mode: which obligation kinds a touched section can
-# affect. proof-obligations and guidebooks map to None, meaning all.
-SECTION_KINDS = {
-    "requirements": frozenset({"traceability-complete", "feature-code-test-symmetry"}),
-    "architecture": frozenset({"connector-integrity", "connector-existence", "dag-enforcement"}),
-    "design": frozenset({"traceability-complete"}),
-    "workflows": frozenset({"workflow-satisfiability"}),
-    "features": frozenset({
-        "feature-code-test-symmetry", "delivery-cascade", "claim-before-dispatch",
-        "gate-sequence", "spec-precedes-code", "evidence-provenance",
-    }),
-    "traceability": frozenset({"traceability-complete", "connector-existence"}),
-    "coordination": frozenset({"evidence-provenance", "claim-before-dispatch", "gate-sequence"}),
-    "lessons": frozenset(),
-    "proof-obligations": None,
-    "guidebooks": None,
-}
 
 
 class UnregisteredKind(KeyError):
@@ -128,15 +105,20 @@ class EvalContext:
 
 
 class EvaluatorRegistry:
-    """Kind -> evaluator dispatch with invocation and work counters."""
+    """Kind -> evaluator dispatch with invocation and work counters.
+    Each kind declares what its evaluator reads: artifact sections
+    (model.SECTION_ORDER, of the candidate or the baseline), and
+    `change-set`, `clock`, `history` or `probes` where it uses them."""
 
     def __init__(self):
         self._evaluators: dict = {}
+        self._reads: dict = {}
         self.invocations: Counter = Counter()
         self.work_units: Counter = Counter()
 
-    def register(self, kind: str, fn):
+    def register(self, kind: str, fn, reads):
         self._evaluators[kind] = fn
+        self._reads[kind] = frozenset(reads)
 
     def registered_kinds(self) -> frozenset:
         return frozenset(self._evaluators)
@@ -147,9 +129,17 @@ class EvaluatorRegistry:
         except KeyError:
             raise UnregisteredKind(kind) from None
 
-    def reset_counters(self):
-        self.invocations.clear()
-        self.work_units.clear()
+    def reads(self, ob: ProofObligation) -> frozenset:
+        """What evaluating `ob` reads: its kind's declaration plus that
+        of its formula's predicates. An unregistered kind reads nothing."""
+        own = self._reads.get(ob.kind, frozenset())
+        if ob.formula is None:
+            return own
+        return own | predicates.formula_reads(solver.prop_vars(ob.formula))
+
+    def kinds_reading(self, sections) -> frozenset:
+        """Registered kinds whose evaluators read any of `sections`."""
+        return frozenset(k for k, r in self._reads.items() if not r.isdisjoint(sections))
 
     def dispatch(self, ctx: EvalContext) -> list:
         fn = self.evaluator_for(ctx.obligation.kind)
@@ -488,25 +478,27 @@ def eval_state_freshness(ctx: EvalContext) -> list:
 
 def builtin_registry() -> EvaluatorRegistry:
     reg = EvaluatorRegistry()
-    for kind, fn in (
-        ("traceability-complete", eval_traceability_complete),
-        ("connector-integrity", eval_connector_integrity),
-        ("connector-existence", eval_connector_existence),
-        ("dag-enforcement", eval_dag_enforcement),
-        ("call-graph-dag", eval_call_graph_dag),
-        ("workflow-satisfiability", eval_workflow_satisfiability),
-        ("feature-code-test-symmetry", eval_feature_code_test_symmetry),
-        ("delivery-cascade", eval_delivery_cascade),
-        ("evidence-provenance", eval_evidence_provenance),
-        ("claim-before-dispatch", eval_claim_before_dispatch),
-        ("gate-sequence", eval_gate_sequence),
-        ("spec-precedes-code", eval_spec_precedes_code),
-        ("conformance", eval_conformance),
-        ("memory-ceiling", eval_memory_ceiling),
-        ("latency-bound", eval_latency_bound),
-        ("state-freshness", eval_state_freshness),
+    for kind, fn, reads in (
+        ("traceability-complete", eval_traceability_complete,
+         ("requirements", "architecture", "design", "workflows", "traceability")),
+        ("connector-integrity", eval_connector_integrity, ("architecture",)),
+        ("connector-existence", eval_connector_existence, ("architecture", "traceability")),
+        ("dag-enforcement", eval_dag_enforcement, ("architecture",)),
+        ("call-graph-dag", eval_call_graph_dag, ()),  # its graph is its own params
+        ("workflow-satisfiability", eval_workflow_satisfiability, ("workflows",)),
+        ("feature-code-test-symmetry", eval_feature_code_test_symmetry, ("features",)),
+        ("delivery-cascade", eval_delivery_cascade, ("features",)),
+        ("evidence-provenance", eval_evidence_provenance, ("coordination",)),
+        ("claim-before-dispatch", eval_claim_before_dispatch,
+         ("features", "coordination", "change-set", "clock")),
+        ("gate-sequence", eval_gate_sequence, ("features", "coordination")),
+        ("spec-precedes-code", eval_spec_precedes_code, ("features", "history")),
+        ("conformance", eval_conformance, SECTION_ORDER),
+        ("memory-ceiling", eval_memory_ceiling, ("probes",)),
+        ("latency-bound", eval_latency_bound, ("probes",)),
+        ("state-freshness", eval_state_freshness, ("probes",)),
     ):
-        reg.register(kind, fn)
+        reg.register(kind, fn, reads)
     return reg
 
 
@@ -517,10 +509,7 @@ def _formula_violations(ctx: EvalContext) -> list:
     ob = ctx.obligation
     names = solver.prop_vars(ob.formula)
     try:
-        instances = predicates.formula_instances(
-            ctx.artifact, names,
-            change_set=ctx.change_set, witnesses=ctx.witnesses, now=ctx.now,
-        )
+        instances = predicates.formula_instances(ctx, names)
     except predicates.MixedScopeError as err:
         return [ctx.violation(ob.id, str(err))]
     out = []
@@ -563,20 +552,24 @@ def evaluate(artifact: Artifact, obligations=None, *, registry: EvaluatorRegistr
     )
 
 
-def evaluate_kinds(artifact: Artifact, obligations, kinds, *,
+def evaluate_kinds(artifact: Artifact, obligations, touched, *,
                    registry: EvaluatorRegistry = None, baseline: Artifact | None = None,
                    change_set: ChangeSet | None = None, history=None,
                    probes: RuntimeProbes | None = None,
                    witnesses: frozenset = DEFAULT_WITNESSES, now=None) -> Verdict:
-    """Evaluate obligations whose kind is in `kinds` (None = all),
-    plus the always-run kinds."""
+    """Evaluate the obligations a change to the `touched` sections can
+    affect: those whose declared reads meet them or include probes.
+    None, or touching the obligations themselves, evaluates all."""
     if obligations is None:
         obligations = artifact.obligations
     if registry is None:
         registry = builtin_registry()
+    live = None  # changing the obligations in effect evaluates them all
+    if touched is not None and {"proof-obligations", "guidebooks"}.isdisjoint(touched):
+        live = {*touched, "probes"}
     results = []
     for ob in obligations:
-        if kinds is not None and ob.kind not in kinds and ob.kind not in ALWAYS_RUN_KINDS:
+        if live is not None and live.isdisjoint(registry.reads(ob)):
             continue
         ctx = EvalContext(
             artifact=artifact, obligation=ob, baseline=baseline,
@@ -616,18 +609,6 @@ def immutability_guard(current, candidate) -> list:
                 "immutable obligation weakened (kind, params, or flag changed)",
             ))
     return out
-
-
-def kinds_for_sections(sections) -> frozenset | None:
-    """Obligation kinds a change touching these sections can affect;
-    None means every kind must run."""
-    kinds: set = set()
-    for s in sections:
-        mapped = SECTION_KINDS.get(s)
-        if mapped is None:
-            return None  # all-kinds section, or unknown: be conservative
-        kinds |= mapped
-    return frozenset(kinds)
 
 
 # ------------------------------------------------------ rendering
@@ -670,9 +651,8 @@ def synthetic_obligation(ob_id: str, kind: str) -> ProofObligation:
 
 
 __all__ = [
-    "ALWAYS_RUN_KINDS", "DEFAULT_WITNESSES", "EvalContext", "EvaluatorRegistry",
-    "GateSpec", "RuntimeProbes", "SECTION_KINDS", "UnregisteredKind", "Verdict",
+    "DEFAULT_WITNESSES", "EvalContext", "EvaluatorRegistry",
+    "GateSpec", "RuntimeProbes", "UnregisteredKind", "Verdict",
     "Violation", "builtin_registry", "evaluate", "evaluate_kinds",
-    "immutability_guard", "kinds_for_sections", "parse_gates", "render_verdict",
-    "synthetic_obligation",
+    "immutability_guard", "parse_gates", "render_verdict", "synthetic_obligation",
 ]

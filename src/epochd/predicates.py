@@ -11,7 +11,7 @@ reported as a load error by the guidebook consistency check.
 
 from __future__ import annotations
 
-from .model import Artifact, ChangeSet, feature_ids_touched
+from .model import Artifact, feature_ids_touched
 from .sexpr import SList, Symbol
 
 FEATURE_PREDICATES = frozenset({
@@ -29,6 +29,17 @@ GRAPH_PREDICATES = frozenset({
 
 KNOWN_PREDICATES = FEATURE_PREDICATES | EVIDENCE_PREDICATES | DISPATCH_PREDICATES | GRAPH_PREDICATES
 
+# (scope, predicates, what they read). Dispatch predicates bind the
+# features the change set touches. Graph predicates bind in every scope
+# and read the module graph, which lives in proof-obligations.
+FAMILIES = (
+    ("feature", FEATURE_PREDICATES, frozenset({"features"})),
+    ("evidence", EVIDENCE_PREDICATES, frozenset({"coordination"})),
+    ("dispatch", DISPATCH_PREDICATES,
+     frozenset({"features", "coordination", "change-set", "clock"})),
+)
+GRAPH_READS = frozenset({"proof-obligations"})
+
 
 class MixedScopeError(ValueError):
     pass
@@ -36,19 +47,19 @@ class MixedScopeError(ValueError):
 
 def formula_scope(names) -> str:
     """Classify a formula by the predicate families it uses."""
-    names = set(names)
-    used = [
-        label
-        for label, family in (
-            ("feature", FEATURE_PREDICATES),
-            ("evidence", EVIDENCE_PREDICATES),
-            ("dispatch", DISPATCH_PREDICATES),
-        )
-        if names & family
-    ]
+    used = [label for label, family, _ in FAMILIES if not family.isdisjoint(names)]
     if len(used) > 1:
         raise MixedScopeError(f"formula mixes {' and '.join(used)} predicates")
     return used[0] if used else "global"
+
+
+def formula_reads(names) -> frozenset:
+    """What instantiating a formula over these variables reads."""
+    reads = set(GRAPH_READS)
+    for _, family, family_reads in FAMILIES:
+        if not family.isdisjoint(names):
+            reads |= family_reads
+    return frozenset(reads)
 
 
 # ----------------------------------------------------------- graphs
@@ -143,34 +154,35 @@ def _evidence_env(record, witnesses) -> dict:
     }
 
 
-def _dispatch_env(a: Artifact, feature_id: str, cs: ChangeSet, now) -> dict:
-    claim = a.claim_on(feature_id)
+def _dispatch_env(ctx, feature_id: str) -> dict:
+    claim = ctx.artifact.claim_on(feature_id)
     held = (
         claim is not None
-        and claim.agent == cs.actor
-        and (now is None or not claim.expired(now))
+        and claim.agent == ctx.change_set.actor
+        and (ctx.now is None or not claim.expired(ctx.now))
     )
     return {"work_dispatched": True, "feature_claimed_by_agent": held}
 
 
-def formula_instances(a: Artifact, formula_vars, *, change_set=None,
-                      witnesses=frozenset(), now=None) -> list:
-    """(subject, env) pairs the formula must hold for. The env covers
-    the formula's own scope plus all global predicates."""
+def formula_instances(ctx, formula_vars) -> list:
+    """(subject, env) pairs the formula must hold for in an evaluation
+    context. The env covers the formula's own scope plus all global
+    predicates."""
     scope = formula_scope(formula_vars)
+    a = ctx.artifact
     base = _graph_env(a)
     if scope == "feature":
         return [(f.id, {**base, **_feature_env(f)}) for f in a.features]
     if scope == "evidence":
         return [
-            (f"{r.feature}/{r.witness}", {**base, **_evidence_env(r, witnesses)})
+            (f"{r.feature}/{r.witness}", {**base, **_evidence_env(r, ctx.witnesses)})
             for r in a.evidence
         ]
     if scope == "dispatch":
-        if change_set is None:
+        if ctx.change_set is None:
             return []
         return [
-            (fid, {**base, **_dispatch_env(a, fid, change_set, now)})
-            for fid in feature_ids_touched(change_set)
+            (fid, {**base, **_dispatch_env(ctx, fid)})
+            for fid in feature_ids_touched(ctx.change_set)
         ]
     return [(a.name, base)]

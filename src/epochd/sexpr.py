@@ -205,7 +205,6 @@ _FRAME_STOPS = {
     "string": re.compile(r'["\\]'),
     "escape": re.compile(r".", re.S),
     "comment": re.compile(r"\n"),
-    "stuck": re.compile(r"(?!)"),      # after a leading ')', which never balances
 }
 
 
@@ -234,13 +233,11 @@ class Framer:
                 self.mode = "comment" if ch == ";" else "string"
             elif ch == "(":
                 self.mode, self.depth = "list", self.depth + 1
-            elif ch == ")" and mode == "blank":
-                self.mode = "stuck"
-            elif ch == ")":
+            elif ch == ")" and self.depth:
                 self.depth -= 1
                 self.done = self.depth == 0
             else:
-                self.done = True  # an atom ends wherever it ends
+                self.done = True  # an atom, or a leading ')', ends the form
         return self.done
 
 

@@ -146,10 +146,6 @@ class SatResult:
     def is_unsat(self):
         return self.status == "unsat"
 
-    @property
-    def is_unknown(self):
-        return self.status == "unknown"
-
 
 def sat(model=None, int_model=None) -> SatResult:
     return SatResult("sat", dict(model or {}), dict(int_model or {}))

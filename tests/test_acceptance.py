@@ -594,7 +594,7 @@ def test_criterion_10_solver_matches_grid_oracle():
         phi = _random_lia(rng, names)
         grid_sat = _grid_models(phi, names)
         got = check_sat_lia(phi)
-        assert not got.is_unknown, solver.format_formula(phi)
+        assert got.status != "unknown", solver.format_formula(phi)
         if grid_sat:
             sat_seen += 1
             if not got.is_sat:
@@ -691,7 +691,7 @@ def test_criterion_12_incremental_verification():
     incremental verdict agrees with full evaluation on this suite's
     fixtures; wide-artifact latency is measured and reported."""
     k = demo_kernel()
-    k.registry.reset_counters()
+    k.registry.invocations.clear()
     verdict = k.precommit_check(deliver_feat01())
     assert verdict.passed
     assert k.registry.invocations.get("workflow-satisfiability", 0) == 0

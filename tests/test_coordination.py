@@ -194,12 +194,11 @@ def test_routing_score_multiplies_kinds():
 
 def test_implied_kinds_by_scope_sections():
     kinds = co.implied_kinds(Scope(requirements=("R-1",)))
-    assert "traceability-complete" in kinds
-    assert "feature-code-test-symmetry" in kinds
+    assert kinds == {"traceability-complete", "conformance"}
     kinds = co.implied_kinds(Scope(code_paths=("src/x.py",)))
-    assert "delivery-cascade" in kinds
+    assert "delivery-cascade" in kinds and "evidence-provenance" not in kinds
     kinds = co.implied_kinds(Scope(test_paths=("tests/test_x.py",)))
-    assert "evidence-provenance" in kinds
+    assert "evidence-provenance" in kinds and "delivery-cascade" not in kinds
     assert co.implied_kinds(Scope()) == frozenset()
 
 

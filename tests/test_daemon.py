@@ -424,6 +424,12 @@ def test_read_form_text_returns_garbage_for_handler():
         parse(text)
 
 
+def test_read_form_text_ends_a_leading_close_paren_at_its_line():
+    it = iter([")\n", "(ping)\n", "(ping)\n", ""])
+    frames = [dm.read_form_text(lambda: next(it)) for _ in range(3)]
+    assert frames == [")\n", "(ping)\n", "(ping)\n"]
+
+
 # ---------------------------------------------------------------- TCP
 
 
@@ -463,6 +469,34 @@ def test_tcp_malformed_line_keeps_connection(tcp_server):
         out = parse(client.request("())"))
         assert out[0] == Symbol("err") and out[1] == Symbol("parse")
         assert client.request("(ping)") == "(ok pong)"
+    finally:
+        client.close()
+
+
+def raw_replies(client, data: bytes, n: int) -> list:
+    client.sock.settimeout(5)
+    client.sock.sendall(data)
+    return [parse(dm.read_form_text(client.rfile.readline)) for _ in range(n)]
+
+
+def test_tcp_leading_close_paren_does_not_swallow_later_requests(tcp_server):
+    client = tcp_client(tcp_server)
+    try:
+        bad, first, second = raw_replies(client, b")\n(ping)\n(ping)\n", 3)
+        assert bad[0] == Symbol("err") and bad[1] == Symbol("parse")
+        assert first == second == parse("(ok pong)")
+    finally:
+        client.close()
+
+
+def test_tcp_request_that_is_not_utf8_gets_a_parse_error(tcp_server):
+    client = tcp_client(tcp_server)
+    try:
+        bad, pong = raw_replies(client, b"(ping \xff)\n(ping)\n", 2)
+        assert bad == parse('(err parse "request is not UTF-8 text")')
+        assert pong == parse("(ok pong)")
+        bad, pong = raw_replies(client, b'(what-if\n  "\xc3(")\n(ping)\n', 2)
+        assert bad[1] == Symbol("parse") and pong == parse("(ok pong)")
     finally:
         client.close()
 

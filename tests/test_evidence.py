@@ -88,7 +88,7 @@ def test_registry_must_not_be_empty():
 
 
 def test_registry_extension():
-    reg = ev.WitnessRegistry().with_extra("fuzz-bot")
+    reg = ev.WitnessRegistry(ev.WitnessRegistry().names | {"fuzz-bot"})
     assert reg.registered("fuzz-bot")
     assert reg.registered("ci-pipeline")
 

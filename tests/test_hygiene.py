@@ -1,12 +1,16 @@
 """Source hygiene: every module under src/epochd uses each name it
 imports, and reads another object's private `_name` only if it
-defines that name itself. Static checks with the standard library's
-ast module."""
+defines that name itself (static checks with the standard library's
+ast module). Every evaluator and predicate family declares what it
+reads in the known vocabulary."""
 
 import ast
 import pathlib
 
 import pytest
+
+from epochd import obligations, predicates
+from epochd.model import SECTION_ORDER, ProofObligation
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "epochd"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -91,3 +95,24 @@ def test_foreign_private_read_is_reported():
               "        self._seen = self._own()\n"
               "        return self._seen, self.kernel._probes(), self.__class__\n")
     assert foreign_private_reads(source) == [(4, "_probes")]
+
+
+# Inputs an evaluator may read besides the artifact's sections.
+CALL_INPUTS = frozenset({"change-set", "clock", "history", "probes"})
+
+
+def test_every_builtin_kind_declares_known_reads():
+    registry = obligations.builtin_registry()
+    for kind in sorted(registry.registered_kinds()):
+        reads = registry.reads(ProofObligation("PO", kind))
+        assert reads <= set(SECTION_ORDER) | CALL_INPUTS, (kind, reads)
+
+
+def test_every_known_predicate_belongs_to_a_family_with_declared_reads():
+    allowed = set(SECTION_ORDER) | CALL_INPUTS
+    declared = set(predicates.GRAPH_PREDICATES)
+    assert predicates.GRAPH_READS <= allowed
+    for _, family, reads in predicates.FAMILIES:
+        assert reads and reads <= allowed, reads
+        declared |= family
+    assert predicates.KNOWN_PREDICATES <= declared

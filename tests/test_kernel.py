@@ -287,6 +287,24 @@ def test_supervised_approval_is_per_change_set():
     assert k.commit_change_set(cs_a).accepted
 
 
+def test_supervised_approval_lapses_when_another_commit_lands():
+    k = tiny_kernel()
+    rejections(k.ledger, "shaky", 3)
+    cs = ChangeSet(
+        ops=(AddOp("requirements",
+                   encode_requirement(Requirement("R-2", "functional", "t", "a"))),),
+        actor="shaky", intent="a")
+    other = ChangeSet(
+        ops=(AddOp("requirements",
+                   encode_requirement(Requirement("R-3", "functional", "t", "b"))),),
+        actor="fresh", intent="b")
+    assert k.what_if(cs).passed
+    assert k.commit_change_set(other).accepted
+    late = k.commit_change_set(cs)
+    assert not late.accepted
+    assert late.verdict.core == ("SUPERVISED-COMMIT",)
+
+
 def test_unrestricted_agent_commits_without_what_if():
     k = tiny_kernel()
     cs = ChangeSet(
@@ -327,6 +345,21 @@ def test_overlapping_claim_holders_share_success_credit():
     assert "helper" in credited
 
 
+def test_commit_credits_the_kinds_that_read_what_it_touched():
+    k = demo_kernel()
+    assert k.commit_change_set(deliver_feat01()).accepted
+    credit = [e for e in k.ledger.events if e.kind == "probe_success"]
+    # features: the scope formula's kind reads them; trace, connector,
+    # DAG and workflow kinds do not
+    assert [(e.po_kinds, e.feature) for e in credit] == [
+        (("feature-code-test-symmetry",), "FEAT-01")]
+    cs = ChangeSet(ops=(RemoveOp("workflows", "classify-flow"),),
+                   actor="opus-a1b2", intent="drop the workflow")
+    assert k.commit_change_set(cs).accepted
+    assert k.ledger.events[-1].po_kinds == ("traceability-complete",
+                                            "workflow-satisfiability")
+
+
 def test_commit_workflow_with_wide_disjunctive_guard():
     # 13 disjunctions: 2**13 sign patterns, every one satisfiable.
     text = "(and " + " ".join(f"(or (> x{i} {i}) (< x{i} {-i}))" for i in range(13)) + ")"
@@ -360,7 +393,7 @@ def test_commit_workflow_guard_over_variable_cap_is_undecided():
 
 def test_features_only_commit_skips_workflow_solver():
     k = demo_kernel()
-    k.registry.reset_counters()
+    k.registry.invocations.clear()
     verdict = k.precommit_check(deliver_feat01())
     assert verdict.passed
     assert k.registry.invocations.get("workflow-satisfiability", 0) == 0

@@ -570,9 +570,9 @@ def test_mutable_removal_not_guarded():
 def test_features_only_kinds_skip_workflow_satisfiability():
     a, effective = demo_with_guidebook()
     registry = obligations.builtin_registry()
-    kinds = obligations.kinds_for_sections(["features"])
-    obligations.evaluate_kinds(a, effective, kinds, registry=registry)
+    obligations.evaluate_kinds(a, effective, ["features"], registry=registry)
     assert registry.invocations["workflow-satisfiability"] == 0
+    assert registry.invocations["traceability-complete"] == 0
     assert registry.invocations["feature-code-test-symmetry"] == 1
 
 
@@ -584,22 +584,48 @@ def test_all_kinds_equals_full_evaluation():
 
 
 def test_empty_kinds_runs_only_always_run():
+    """A change that touches nothing reaches only the probe readers; one
+    that touches any section also reaches conformance, which reads all."""
     a = sandbox.demo_artifact()
-    extra = (ProofObligation("PO-CONF", "conformance"),)
+    extra = (ProofObligation("PO-CONF", "conformance"),
+             ProofObligation("PO-MEM", "memory-ceiling"))
     registry = obligations.builtin_registry()
     verdict = obligations.evaluate_kinds(
         a, a.obligations + extra, frozenset(), registry=registry,
     )
-    assert [ob.id for ob, _ in verdict.results] == ["PO-CONF"]
+    assert [ob.id for ob, _ in verdict.results] == ["PO-MEM"]
+    verdict = obligations.evaluate_kinds(a, a.obligations + extra, ["lessons"])
+    assert [ob.id for ob, _ in verdict.results] == ["PO-CONF", "PO-MEM"]
 
 
 def test_kinds_for_sections():
-    assert obligations.kinds_for_sections(["proof-obligations"]) is None
-    assert obligations.kinds_for_sections(["guidebooks"]) is None
-    assert obligations.kinds_for_sections(["unheard-of"]) is None
-    got = obligations.kinds_for_sections(["features", "coordination"])
+    registry = obligations.builtin_registry()
+    assert registry.kinds_reading(["lessons"]) == {"conformance"}
+    got = registry.kinds_reading(["features", "coordination"])
     assert "gate-sequence" in got and "workflow-satisfiability" not in got
-    assert obligations.kinds_for_sections(["lessons"]) == frozenset()
+    # what traceability-complete reads through component and workflow names
+    assert "traceability-complete" in registry.kinds_reading(["architecture"])
+    assert "traceability-complete" in registry.kinds_reading(["workflows"])
+    # touching the obligations themselves evaluates every one
+    a = sandbox.demo_artifact()
+    for touched in (["proof-obligations"], ["guidebooks"], ["lessons", "guidebooks"]):
+        verdict = obligations.evaluate_kinds(a, None, touched)
+        assert [ob for ob, _ in verdict.results] == list(a.obligations)
+
+
+def test_formula_reads_add_to_kind_reads():
+    registry = obligations.builtin_registry()
+    formula = solver.formula_from_sexpr(
+        sexpr.parse("(implies feature_delivered has_code_paths)"))
+    ob = ProofObligation("PO-X", "call-graph-dag", formula=formula)
+    assert registry.reads(ob) == {"features", "proof-obligations"}
+    assert registry.reads(dataclasses.replace(ob, formula=None)) == frozenset()
+    dispatch = solver.formula_from_sexpr(
+        sexpr.parse("(implies work_dispatched feature_claimed_by_agent)"))
+    ob = ProofObligation("PO-Y", "evidence-provenance", formula=dispatch)
+    assert registry.reads(ob) == {"coordination", "features", "change-set", "clock",
+                                  "proof-obligations"}
+    assert registry.reads(ProofObligation("PO-Z", "clock-domain-crossing")) == frozenset()
 
 
 def test_unregistered_kind_raises():

@@ -395,7 +395,8 @@ def test_every_reader_refuses_one_mutation_with_its_own_error(data):
 def parse_framed(readline):
     """The framing rule the daemon used before it had a scanner, kept
     as the oracle: re-parse the whole buffer after every line and read
-    on while the only fault is a missing end."""
+    on while the only fault is a missing end. A leading `)` is no
+    missing end: it ends its frame at the end of its line."""
     buf = ""
     while True:
         line = readline()
@@ -408,8 +409,8 @@ def parse_framed(readline):
         try:
             parse(buf)
             return buf
-        except (UnbalancedParens, UnterminatedString):
-            if len(buf) > dm.MAX_REQUEST_BYTES:
+        except (UnbalancedParens, UnterminatedString) as e:
+            if "unmatched close paren" in str(e) or len(buf) > dm.MAX_REQUEST_BYTES:
                 return buf
         except sexpr.SexprError:
             return buf

@@ -109,7 +109,7 @@ def test_prop_var_cap():
 
 def test_check_sat_over_var_cap_is_unknown():
     res = solver.check_sat([Or([Var(f"v{i}") for i in range(70)])])
-    assert res.is_unknown and res.reason == "70 variables exceeds cap 64"
+    assert res.status == "unknown" and res.reason == "70 variables exceeds cap 64"
 
 
 def test_prop_implication_chain_26_vars():
