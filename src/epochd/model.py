@@ -89,7 +89,7 @@ def utcnow() -> datetime:
 # ------------------------------------------------------------ types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Requirement:
     id: str
     kind: str = ""
@@ -98,13 +98,13 @@ class Requirement:
     constraint: object | None = None  # opaque subtree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Component:
     name: str
     responsibility: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Connector:
     source: str
     target: str
@@ -116,21 +116,21 @@ class Connector:
         return f"{self.source}->{self.target}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignElement:
     kind: str
     name: str
     attributes: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     source: str
     target: str
     guard: object | None = None  # solver formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Workflow:
     name: str
     states: tuple = ()
@@ -138,7 +138,7 @@ class Workflow:
     transitions: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scope:
     requirements: tuple = ()
     code_paths: tuple = ()
@@ -149,7 +149,7 @@ class Scope:
         return not (self.requirements or self.code_paths or self.test_paths)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Feature:
     id: str
     name: str = ""
@@ -161,7 +161,7 @@ class Feature:
             raise SchemaError(f"feature {self.id}", f"bad status {self.status!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     id: str
     requirement: str
@@ -169,7 +169,7 @@ class Trace:
     design_element: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofObligation:
     id: str
     kind: str
@@ -180,7 +180,7 @@ class ProofObligation:
     origin: str | None = None      # guidebook path, None for local
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Claim:
     agent: str
     feature: str
@@ -194,7 +194,7 @@ class Claim:
         return parse_rfc3339(self.lease_expires) <= now
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvidenceRecord:
     feature: str
     witness: str
@@ -204,7 +204,7 @@ class EvidenceRecord:
     timestamp: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lesson:
     id: str
     failure: str
@@ -658,7 +658,7 @@ def artifact_fingerprint(a: Artifact) -> str:
 # -------------------------------------------------------- change sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddOp:
     section: str
     element: object  # SExpr form
@@ -666,7 +666,7 @@ class AddOp:
     verb = "add"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemoveOp:
     section: str
     target: str
@@ -674,7 +674,7 @@ class RemoveOp:
     verb = "remove"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateOp:
     section: str
     target: str
@@ -683,7 +683,7 @@ class UpdateOp:
     verb = "update"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChangeSet:
     ops: tuple
     actor: str
@@ -703,7 +703,7 @@ def sections_touched(cs: ChangeSet) -> list:
     return out
 
 
-def feature_ids_touched(cs: ChangeSet, a: Artifact | None = None) -> list:
+def feature_ids_touched(cs: ChangeSet) -> list:
     out = []
     for op in cs.ops:
         if op.section != "features":

@@ -108,7 +108,9 @@ class EvaluatorRegistry:
     """Kind -> evaluator dispatch with invocation and work counters.
     Each kind declares what its evaluator reads: artifact sections
     (model.SECTION_ORDER, of the candidate or the baseline), and
-    `change-set`, `clock`, `history` or `probes` where it uses them."""
+    `change-set`, `clock`, `history` or `probes` where it uses them.
+    An evaluator reads its obligation only through kind, params and
+    formula, besides naming the obligation's own id as a subject."""
 
     def __init__(self):
         self._evaluators: dict = {}
@@ -156,15 +158,11 @@ def eval_traceability_complete(ctx: EvalContext) -> list:
     components = a.component_names()
     targets = a.design_names() | a.workflow_names()
     out = []
+    covered = {t.requirement for t in a.traces
+               if t.component in components and t.design_element in targets}
     for req in a.requirements:
         ctx.tally()
-        covered = any(
-            t.requirement == req.id
-            and t.component in components
-            and t.design_element in targets
-            for t in a.traces
-        )
-        if not covered:
+        if req.id not in covered:
             out.append(ctx.violation(
                 req.id,
                 "no trace links this requirement to an existing component and design element",
@@ -376,13 +374,9 @@ def eval_gate_sequence(ctx: EvalContext) -> list:
         return [ctx.violation(ob.id, "gate dependencies form a cycle: " + " -> ".join(cycle))]
     out = []
     by_id = {g.id: g for g in gates}
+    witnessed = {(r.feature, r.witness) for r in ctx.artifact.evidence if r.status == "passed"}
     for fid in _newly_delivered(ctx):
-        passed = {
-            g.id
-            for g in gates
-            for r in ctx.artifact.evidence
-            if r.feature == fid and r.witness == g.witness and r.status == "passed"
-        }
+        passed = {g.id for g in gates if (fid, g.witness) in witnessed}
         ctx.tally(len(gates))
         for g in gates:
             missing_dep = next(
@@ -559,7 +553,11 @@ def evaluate_kinds(artifact: Artifact, obligations, touched, *,
                    witnesses: frozenset = DEFAULT_WITNESSES, now=None) -> Verdict:
     """Evaluate the obligations a change to the `touched` sections can
     affect: those whose declared reads meet them or include probes.
-    None, or touching the obligations themselves, evaluates all."""
+    None, or touching the obligations themselves, evaluates all.
+
+    Obligations with equal kind, params and formula are one check: it
+    runs once, and the others get its violations under their own ids.
+    A result that names its own obligation as a subject is not shared."""
     if obligations is None:
         obligations = artifact.obligations
     if registry is None:
@@ -567,20 +565,27 @@ def evaluate_kinds(artifact: Artifact, obligations, touched, *,
     live = None  # changing the obligations in effect evaluates them all
     if touched is not None and {"proof-obligations", "guidebooks"}.isdisjoint(touched):
         live = {*touched, "probes"}
+    shared: dict = {}  # (kind, params, formula) -> violations, for this call only
     results = []
     for ob in obligations:
+        registry.evaluator_for(ob.kind)  # an unregistered kind is never skipped
         if live is not None and live.isdisjoint(registry.reads(ob)):
             continue
-        ctx = EvalContext(
-            artifact=artifact, obligation=ob, baseline=baseline,
-            change_set=change_set, history=history, probes=probes,
-            witnesses=witnesses, now=now,
-        )
-        structural = registry.dispatch(ctx)
-        if ob.formula is not None:
-            violations = _merge_routes(structural, _formula_violations(ctx))
+        key = (ob.kind, ob.params, ob.formula)
+        if key in shared:
+            violations = tuple(Violation(ob.id, v.kind, v.subject, v.message)
+                               for v in shared[key])
         else:
-            violations = tuple(structural)
+            ctx = EvalContext(
+                artifact=artifact, obligation=ob, baseline=baseline,
+                change_set=change_set, history=history, probes=probes,
+                witnesses=witnesses, now=now,
+            )
+            violations = tuple(registry.dispatch(ctx))
+            if ob.formula is not None:
+                violations = _merge_routes(violations, _formula_violations(ctx))
+            if all(v.subject != ob.id for v in violations):
+                shared[key] = violations
         results.append((ob, violations))
     return Verdict(tuple(results))
 

@@ -29,6 +29,7 @@ INT64_MAX = 2**63 - 1
 # from symbols so comments can never hide inside a round-tripped atom.
 _DELIMS = set('()";')
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_STRING_RUN = re.compile(r'[^"\\]*')  # a string literal's text up to its next quote or escape
 
 
 class SexprError(Exception):
@@ -51,7 +52,7 @@ class TrailingGarbage(SexprError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Symbol:
     text: str
 
@@ -65,12 +66,12 @@ class Symbol:
             raise ValueError(f"symbol {self.text!r} would re-read as an integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class String:
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Integer:
     value: int
 
@@ -79,7 +80,7 @@ class Integer:
             raise ValueError(f"integer {self.value} outside signed 64-bit range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SList:
     items: tuple
 
@@ -142,22 +143,21 @@ def _read_string(text: str, i: int):
     start = i
     i += 1
     out = []
-    while i < n:
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                raise UnterminatedString("dangling escape", i)
-            nxt = text[i + 1]
-            if nxt not in ('"', "\\"):
-                raise SexprError(f"unsupported escape \\{nxt}", i)
-            out.append(nxt)
-            i += 2
-        elif ch == '"':
+    while True:
+        end = _STRING_RUN.match(text, i).end()
+        out.append(text[i:end])
+        i = end
+        if i >= n:
+            raise UnterminatedString("unterminated string literal", start)
+        if text[i] == '"':
             return String("".join(out)), i + 1
-        else:
-            out.append(ch)
-            i += 1
-    raise UnterminatedString("unterminated string literal", start)
+        if i + 1 >= n:
+            raise UnterminatedString("dangling escape", i)
+        nxt = text[i + 1]
+        if nxt not in ('"', "\\"):
+            raise SexprError(f"unsupported escape \\{nxt}", i)
+        out.append(nxt)
+        i += 2
 
 
 def _read_atom(text: str, i: int):

@@ -5,13 +5,14 @@ Each entry stores a full canonical snapshot, so any historical state
 is readable without replay and every report is a pure query over the
 chain. In memory the log keeps each entry beside the state it records:
 the artifact the gate accepted, or the one decoded from its file when
-the log was loaded. Retroactive replay reads those states in place.
+the log was loaded; loaded states share the records they have in
+common. Retroactive replay reads those states in place.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from . import model, sexpr
 from .model import Artifact
@@ -227,17 +228,31 @@ def save_entry(directory: str, entry: WalEntry):
     os.replace(head_tmp, os.path.join(directory, HEAD_NAME))
 
 
+# Artifact fields that hold records, each a tuple.
+_RECORD_FIELDS = tuple(f.name for f in fields(Artifact) if f.name != "name")
+
+
+def _share(state: Artifact, shared: dict) -> Artifact:
+    """`state` with each record swapped for the equal one `shared` already
+    holds, so records unchanged across loaded states are kept once."""
+    return replace(state, **{
+        name: tuple([shared.setdefault(r, r) for r in getattr(state, name)])
+        for name in _RECORD_FIELDS
+    })
+
+
 def load_history(directory: str) -> History:
     names = sorted(
         n for n in os.listdir(directory) if n.endswith(ENTRY_SUFFIX)
     )
     history = History()
+    shared: dict = {}  # record -> its one object across the loaded states
     for name in names:
         path = os.path.join(directory, name)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 entry = entry_from_sexpr(sexpr.parse(fh.read()))
-            history._admit(entry, model.decode_text(entry.snapshot))
+            history._admit(entry, _share(model.decode_text(entry.snapshot), shared))
         except (UnicodeDecodeError, sexpr.SexprError, WalError, model.ModelError) as err:
             raise WalError(f"{path}: {err}") from err
     history.validate()

@@ -2,14 +2,16 @@
 imports, and reads another object's private `_name` only if it
 defines that name itself (static checks with the standard library's
 ast module). Every evaluator and predicate family declares what it
-reads in the known vocabulary."""
+reads in the known vocabulary, and every frozen record type but
+Artifact is slotted."""
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
-from epochd import obligations, predicates
+from epochd import model, obligations, predicates, sexpr
 from epochd.model import SECTION_ORDER, ProofObligation
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "epochd"
@@ -95,6 +97,17 @@ def test_foreign_private_read_is_reported():
               "        self._seen = self._own()\n"
               "        return self._seen, self.kernel._probes(), self.__class__\n")
     assert foreign_private_reads(source) == [(4, "_probes")]
+
+
+@pytest.mark.parametrize("module", [model, sexpr], ids=["model", "sexpr"])
+def test_frozen_records_are_slotted(module):
+    """Artifact alone keeps a __dict__: its text is a cached_property."""
+    frozen = [cls for cls in vars(module).values()
+              if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+              and cls.__module__ == module.__name__ and cls.__dataclass_params__.frozen]
+    assert len(frozen) > 3
+    assert [cls.__name__ for cls in frozen if "__slots__" not in vars(cls)] == \
+        (["Artifact"] if module is model else [])
 
 
 # Inputs an evaluator may read besides the artifact's sections.

@@ -114,6 +114,19 @@ def test_unterminated_string():
         parse('"abc')
 
 
+@pytest.mark.parametrize("text, error, message, position", [
+    ('(a "abc', UnterminatedString, "unterminated string literal", 3),
+    ('(a "ab\\"', UnterminatedString, "unterminated string literal", 3),
+    ('"ab\\', UnterminatedString, "dangling escape", 3),
+    ('(x "ab\\nc")', sexpr.SexprError, "unsupported escape \\n", 6),
+])
+def test_string_literal_errors_keep_class_message_and_offset(text, error, message, position):
+    with pytest.raises(sexpr.SexprError) as info:
+        parse(text)
+    assert type(info.value) is error
+    assert (str(info.value), info.value.position) == (message, position)
+
+
 def test_trailing_garbage():
     with pytest.raises(TrailingGarbage):
         parse("(a) (b)")

@@ -325,6 +325,40 @@ def test_restart_reads_back_the_states_the_log_keeps(tmp_path):
     assert flagged[1:] == [len(kept), 0]
 
 
+def test_loaded_states_share_the_records_they_have_in_common(tmp_path):
+    """Each loaded state is its snapshot decoded, and encodes back to
+    it; a record equal to one of the previous state's is that object."""
+    from test_acceptance import _fuzz_ops
+
+    rng = random.Random(7)
+    clock = simulate.SimClock()
+    k = kn.Kernel(sandbox.simulation_artifact(4), clock=clock, wal_dir=str(tmp_path))
+    actors = [f"fuzzer-{i}" for i in range(3)]
+    for _ in range(80):
+        clock.tick()
+        cs = _fuzz_ops(rng, k, actors)
+        if cs is not None:
+            k.commit_change_set(cs)
+    loaded = wal.load_history(str(tmp_path))
+    assert len(loaded) > 20
+    record_fields = [f.name for f in dataclasses.fields(Artifact) if f.name != "name"]
+    shared = 0
+    for i, entry in enumerate(loaded.entries):
+        state = loaded.artifact_at(i)
+        assert state == model.decode_text(entry.snapshot), f"entry {i}"
+        assert model.encode_text(state) == entry.snapshot, f"entry {i}"
+        if i == 0:
+            continue
+        previous = loaded.artifact_at(i - 1)
+        for name in record_fields:
+            kept = {r: r for r in getattr(previous, name)}
+            for r in getattr(state, name):
+                if r in kept:
+                    assert r is kept[r], (i, name, r)
+                    shared += 1
+    assert shared > 10 * len(loaded)
+
+
 # -------------------------------------------------------- projections
 
 
