@@ -22,9 +22,7 @@ from .model import (
     ProofObligation,
     Scope,
     UpdateOp,
-    encode_claim,
-    encode_feature,
-    encode_obligation,
+    encode_record,
     format_rfc3339,
 )
 from .obligations import builtin_registry
@@ -225,11 +223,11 @@ def claim_feature(a: Artifact, ledger: FrictionLedger, agent: str, feature_id: s
     ops = []
     if feat.status != "claimed":
         ops.append(UpdateOp("features", feature_id,
-                            encode_feature(replace(feat, status="claimed"))))
+                            encode_record(replace(feat, status="claimed"))))
     if existing is None:
-        ops.append(AddOp("coordination", encode_claim(new_claim)))
+        ops.append(AddOp("coordination", encode_record(new_claim)))
     else:
-        ops.append(UpdateOp("coordination", feature_id, encode_claim(new_claim)))
+        ops.append(UpdateOp("coordination", feature_id, encode_record(new_claim)))
     return ChangeSet(ops=tuple(ops), actor=agent,
                      intent=f"claim {feature_id}")
 
@@ -339,8 +337,8 @@ def decay_detect(a: Artifact, ledger: FrictionLedger, what_if_check,
             continue
         cs = ChangeSet(
             ops=(
-                AddOp("proof-obligations", encode_obligation(po)),
-                AddOp("features", encode_feature(proposal_feature)),
+                AddOp("proof-obligations", encode_record(po)),
+                AddOp("features", encode_record(proposal_feature)),
             ),
             actor=actor,
             intent=f"adopt {po.id} after {counts[kind]} {kind} rejections",

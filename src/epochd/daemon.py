@@ -207,7 +207,8 @@ class KernelService:
         return ok(Symbol("pong"))
 
     def _read_system(self, args):
-        return ok(model.encode(self.kernel.artifact))
+        # ok(model.encode(artifact)), printed from the state's kept text
+        return f"(ok {self.kernel.artifact.text})"
 
     def _verdict_payload(self, verdict):
         if verdict.passed:
@@ -268,7 +269,7 @@ class KernelService:
 
     def _record_lesson(self, args):
         actor = self._arg_text(args, 0, "actor")
-        lesson = model.decode_lesson(self._arg(args, 1, "lesson form"))
+        lesson = model.decode_record(model.Lesson, self._arg(args, 1, "lesson form"))
         result = self.kernel.record_lesson(actor, lesson)
         if not result.accepted:
             return _rejected(result)
@@ -278,13 +279,14 @@ class KernelService:
         paths = [self._arg_text(args, i, "path") for i in range(len(args))]
         hits = ls.lessons_for_scope(self.kernel.artifact, paths)
         return ok(SList([Symbol("lessons")]
-                        + [model.encode_lesson(l) for l in hits]))
+                        + [model.encode_record(l) for l in hits]))
 
     def _retroactive(self, args):
         node = self._arg(args, 0, "window size")
         if not isinstance(node, Integer):
             raise ServiceError("bad-args", "window size must be an integer")
-        candidate = model.decode_obligation(self._arg(args, 1, "obligation form"))
+        candidate = model.decode_record(model.ProofObligation,
+                                        self._arg(args, 1, "obligation form"))
         verdict = wal.retroactive_verify(
             self.kernel.history, candidate, node.value,
             registry=self.kernel.registry, witnesses=self.kernel.witnesses)

@@ -1,6 +1,7 @@
-"""Evidence pipeline: registered witnesses, server-side content
-hashing, and the fused gate that runs tests and submits the record in
-one step. A record only exists if the runner actually ran.
+"""Evidence pipeline: server-side content hashing and the fused gate
+that runs tests and submits the record in one step. A record only
+exists if the runner actually ran. Which witnesses count is the
+kernel's `witnesses` set.
 """
 
 from __future__ import annotations
@@ -9,9 +10,8 @@ import hashlib
 import subprocess
 from dataclasses import dataclass
 
-from .model import AddOp, Artifact, ChangeSet, EvidenceRecord, encode_evidence
+from .model import AddOp, Artifact, ChangeSet, EvidenceRecord, encode_record
 
-DEFAULT_WITNESS_NAMES = frozenset({"kernel-test-gate", "ci-pipeline", "human-review"})
 GATE_WITNESS = "kernel-test-gate"
 REVIEW_WITNESS = "human-review"
 
@@ -43,18 +43,6 @@ class UnknownFeature(EvidenceError):
 
 class RunnerError(EvidenceError):
     pass
-
-
-@dataclass(frozen=True)
-class WitnessRegistry:
-    names: frozenset = DEFAULT_WITNESS_NAMES
-
-    def __post_init__(self):
-        if not self.names:
-            raise EvidenceError("witness registry must not be empty")
-
-    def registered(self, name: str) -> bool:
-        return name in self.names
 
 
 def _disk_reader(path: str) -> bytes:
@@ -115,7 +103,7 @@ def run_evidence_gate(a: Artifact, feature_id: str, runner, *,
         hash=digest, server_computed=True, timestamp=timestamp,
     )
     return ChangeSet(
-        ops=(AddOp("coordination", encode_evidence(record)),),
+        ops=(AddOp("coordination", encode_record(record)),),
         actor=witness,
         intent=f"evidence for {feature_id}",
     )
@@ -135,7 +123,7 @@ def review_evidence(a: Artifact, feature_id: str, *, operator: str,
         hash=digest, server_computed=True, timestamp=timestamp,
     )
     return ChangeSet(
-        ops=(AddOp("coordination", encode_evidence(record)),),
+        ops=(AddOp("coordination", encode_record(record)),),
         actor=operator,
         intent=f"human review of {feature_id}",
     )
@@ -163,8 +151,8 @@ def make_command_runner(template, *, run=None):
 
 
 __all__ = [
-    "DEFAULT_WITNESS_NAMES", "EMPTY_DIGEST", "EvidenceError", "GateFailure",
+    "EMPTY_DIGEST", "EvidenceError", "GateFailure",
     "GATE_WITNESS", "MissingFile", "NoTestPaths", "RunnerError",
-    "UnknownFeature", "WitnessRegistry", "hash_test_paths",
+    "UnknownFeature", "hash_test_paths",
     "make_command_runner", "review_evidence", "run_evidence_gate",
 ]

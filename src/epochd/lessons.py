@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import solver
-from .model import AddOp, Artifact, ChangeSet, Lesson, encode_lesson
+from .model import AddOp, Artifact, ChangeSet, Lesson, encode_record
 from .solver import Implies, Var
 
 
@@ -45,7 +45,7 @@ def record_lesson(a: Artifact, lesson: Lesson, *, actor: str) -> ChangeSet:
     if any(l.id == lesson.id for l in a.lessons):
         raise DuplicateId(lesson.id)
     return ChangeSet(
-        ops=(AddOp("lessons", encode_lesson(lesson)),),
+        ops=(AddOp("lessons", encode_record(lesson)),),
         actor=actor,
         intent=f"record lesson {lesson.id}",
     )

@@ -1,33 +1,26 @@
-"""Typed view of a .epoch artifact and pure change application.
+"""Typed view of a .epoch artifact, its format table, and pure change
+application.
 
 An artifact file is one `(nidus-system "Name" ...)` form whose child
 sections hold requirements, architecture, design elements, workflows,
 features, traces, proof obligations, coordination records, lessons and
-guidebook imports. Sections this module does not recognize are carried
-through decode/encode untouched so older daemons can read newer files.
+guidebook imports. `FORMAT` declares each record type's wire shape and
+the section, Artifact field and key it belongs to; one reader and one
+writer serve every record, and decode, encode and apply_change_set
+loop over that table. Sections this module does not recognize are
+carried through decode/encode untouched so older daemons can read
+newer files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property, partial
+from operator import attrgetter
 
 from . import sexpr, solver
 from .sexpr import TEXT, Integer, Record, SList, String, Symbol, read_head, read_values
-
-SECTION_ORDER = (
-    "requirements",
-    "architecture",
-    "design",
-    "workflows",
-    "features",
-    "traceability",
-    "proof-obligations",
-    "coordination",
-    "lessons",
-    "guidebooks",
-)
 
 FEATURE_STATUSES = ("open", "claimed", "delivered")
 
@@ -79,7 +72,8 @@ def parse_rfc3339(text: str) -> datetime:
 
 
 def format_rfc3339(stamp: datetime) -> str:
-    return stamp.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    utc = stamp.astimezone(timezone.utc)
+    return f"{utc.year:04d}" + utc.strftime("-%m-%dT%H:%M:%SZ")  # %Y drops a year's leading zeros
 
 
 def utcnow() -> datetime:
@@ -270,178 +264,311 @@ class Artifact:
         return encode_text(self)
 
 
-# ----------------------------------------------------------- decode
+# ----------------------------------------------------------- format
+#
+# The artifact format is declared once. `_Shape` gives a record type's
+# wire form: its head tag, the attributes of its positional symbols and
+# its `(key value…)` fields in written order. `FORMAT` says, section by
+# section, which record types a section holds, the Artifact field each
+# goes in and the key that addresses one. `decode_record` and
+# `encode_record` read and write every record; `decode`, `encode` and
+# `apply_change_set` loop over `FORMAT`.
 
 
-def _flag(text: str, fail) -> bool:
-    if text in ("t", "true"):
-        return True
-    if text in ("nil", "false"):
-        return False
-    raise fail(f"bad flag value {text}")
+class _Field:
+    """A `(key value…)` field filling attribute `attr` (the key with
+    `-` as `_`). It is written when `always`, or else unless it equals
+    its default."""
+
+    def __init__(self, key, kind=None, default=None, attr=None, always=False):
+        self.key, self.sym, self.kind = key, Symbol(key), kind
+        self.attr = attr or key.replace("-", "_")
+        self.default, self.always = default, always
+
+    def write(self, value, items):
+        if self.always or value != self.default:
+            items.append(SList((self.sym,) + self.nodes(value)))
 
 
-def decode_requirement(form: SList) -> Requirement:
-    rid, = read_head(form, "req", (Symbol,), partial(SchemaError, "requirements"))
-    r = Record(form, 2, partial(SchemaError, f"req {rid}"))
-    req = Requirement(rid, r.one("kind", Symbol, ""), r.one("source", Symbol, ""),
-                      r.one("shall", String, ""), r.subtree("constraint"))
-    r.done()
-    return req
+class _One(_Field):
+    """One symbol, string or integer, required when it has no default.
+    A prose value (TEXT) is written as a string."""
+
+    def __init__(self, key, kind, default=None, always=False):
+        super().__init__(key, kind, default, always=always or default is None)
+        self.node = String if kind is TEXT else kind
+
+    def read(self, r, fail):
+        return r.one(self.key, self.kind, self.default)
+
+    def nodes(self, value):
+        return (self.node(value),)
 
 
-def decode_architecture_element(form: SList):
-    fail = partial(SchemaError, "architecture")
-    kind, = read_head(form, None, (), fail)
-    if kind == "component":
-        name, = read_head(form, "component", (Symbol,), fail)
-        r = Record(form, 2, partial(SchemaError, f"component {name}"))
-        element = Component(name, r.one("responsibility", String, ""))
-    elif kind == "connector":
-        src, dst = read_head(form, "connector", (Symbol, Symbol), fail)
-        r = Record(form, 3, partial(SchemaError, f"connector {src}->{dst}"))
-        element = Connector(src, dst, r.one("flow", Symbol, ""), r.one("protocol", Symbol, ""))
-    else:
-        raise fail(f"unexpected form {sexpr.print_canonical(form)}")
-    r.done()
-    return element
+class _Stamp(_One):
+    """A required RFC 3339 timestamp, kept as its string."""
+
+    def __init__(self, key):
+        super().__init__(key, String)
+
+    def read(self, r, fail):
+        text = r.one(self.key, String)
+        parse_rfc3339(text)
+        return text
 
 
-def decode_design_element(form: SList) -> DesignElement:
-    kind, name = read_head(form, None, (Symbol,), partial(SchemaError, "design"))
-    return DesignElement(kind, name, form.items[2:])
+class _Flag(_Field):
+    """`t` when true and absent when false; `true`, `nil` and `false`
+    read too."""
+
+    def __init__(self, key):
+        super().__init__(key, Symbol, False)
+
+    def read(self, r, fail):
+        text = r.one(self.key, Symbol, "nil")
+        if text not in ("t", "true", "nil", "false"):
+            raise fail(f"bad flag value {text}")
+        return text in ("t", "true")
+
+    def nodes(self, value):
+        return (_TRUE,)
 
 
-def _decode_transition(form: SList, fail) -> Transition:
-    src, dst = read_head(form, "transition", (Symbol, Symbol), fail)
-    r = Record(form, 3, fail)
-    guard = r.subtree("guard")
-    r.done()
-    if guard is not None:
+class _Many(_Field):
+    """Any number of values of one node kind; () when absent."""
+
+    def __init__(self, key, kind):
+        super().__init__(key, kind, ())
+
+    def read(self, r, fail):
+        return r.many(self.key, self.kind)
+
+    def nodes(self, value):
+        return tuple([self.kind(v) for v in value])
+
+
+class _Tree(_Field):
+    """One node of any kind, kept opaque; None when absent."""
+
+    def read(self, r, fail):
+        return r.subtree(self.key)
+
+    def nodes(self, value):
+        return (value,)
+
+
+class _Guard(_Tree):
+    """A solver formula, read and written as its S-expression."""
+
+    def read(self, r, fail):
+        tree = r.subtree(self.key)
+        if tree is None:
+            return None
         try:
-            guard = solver.formula_from_sexpr(guard)
+            return solver.formula_from_sexpr(tree)
         except solver.SolverError as exc:
             raise fail(str(exc)) from exc
-    return Transition(src, dst, guard)
+
+    def nodes(self, value):
+        return (solver.formula_to_sexpr(value),)
 
 
-def decode_workflow(form: SList) -> Workflow:
-    name, = read_head(form, "workflow", (Symbol,), partial(SchemaError, "workflows"))
-    fail = partial(SchemaError, f"workflow {name}")
-    r = Record(form, 2, fail)
-    workflow = Workflow(name, r.many("states", Symbol), r.one("initial", Symbol, ""),
-                        tuple([_decode_transition(t, fail) for t in r.each("transition")]))
-    r.done()
-    return workflow
+class _Nested(_Field):
+    """A sub-record of `shape` under the field's key, absent when empty."""
+
+    def __init__(self, shape):
+        super().__init__(shape.tag, default=shape.cls())
+        self.shape = shape
+
+    def read(self, r, fail):
+        form = r.form(self.key)
+        return self.default if form is None else _read(self.shape, form, fail)
+
+    def write(self, value, items):
+        if value != self.default:
+            items.append(_write(self.shape, value))
 
 
-def _decode_scope(form: SList, fail) -> Scope:
-    r = Record(form, 1, fail)
-    scope = Scope(r.many("requirements", Symbol), r.many("code-paths", String),
-                  r.many("test-paths", String))
-    r.done()
-    return scope
+class _Each(_Field):
+    """One sub-record of `shape` per element, its key repeated."""
+
+    def __init__(self, shape, attr):
+        super().__init__(shape.tag, default=(), attr=attr)
+        self.shape = shape
+
+    def read(self, r, fail):
+        return tuple([_read(self.shape, form, fail) for form in r.each(self.key)])
+
+    def write(self, value, items):
+        items.extend([_write(self.shape, x) for x in value])
 
 
-def decode_feature(form: SList) -> Feature:
-    fid, = read_head(form, "feature", (Symbol,), partial(SchemaError, "features"))
-    fail = partial(SchemaError, f"feature {fid}")
-    r = Record(form, 2, fail)
-    scope = r.form("scope")
-    feature = Feature(fid, r.one("name", String, ""), r.one("status", Symbol, "open"),
-                      Scope() if scope is None else _decode_scope(scope, fail))
-    r.done()
-    return feature
+class _Shape:
+    """A record type's wire form: `(tag S1 … Sn field…)` where the
+    symbols Si fill `head[i]`, then the fields fill the next parameters
+    of `cls` in order. A tag of None takes any symbol as the first head
+    value. With `rest`, the items after the head are kept opaque in
+    that attribute instead of being read as fields."""
+
+    def __init__(self, cls, tag, head=(), *fields, rest=None):
+        self.cls, self.tag, self.head, self.fields, self.rest = cls, tag, head, fields, rest
+        self.sym = None if tag is None else Symbol(tag)
+        self.kinds = (Symbol,) * (len(head) - (tag is None))
+        self.start = len(self.kinds) + 1  # index of the first item after the head
 
 
-def decode_trace(form: SList) -> Trace:
-    return Trace(*read_head(form, "trace", (Symbol, Symbol, Symbol, Symbol),
-                            partial(SchemaError, "traceability"), exact=True))
+def _refuse(tag, head, message):
+    return SchemaError(f"{tag} {'->'.join(head)}" if head else tag, message)
 
 
-def decode_obligation(form: SList) -> ProofObligation:
-    pid, = read_head(form, "proof", (Symbol,), partial(SchemaError, "proof-obligations"))
-    fail = partial(SchemaError, f"proof {pid}")
-    r = Record(form, 2, fail)
-    ob = ProofObligation(pid, r.one("kind", Symbol), r.one("description", String, ""),
-                         _flag(r.one("immutable", Symbol, "nil"), fail), r.subtree("params"))
-    r.done()
-    return ob
-
-
-def decode_claim(form: SList) -> Claim:
-    fail = partial(SchemaError, "claim")
-    read_head(form, "claim", (), fail)
-    r = Record(form, 1, fail)
-    claim = Claim(r.one("agent", TEXT), r.one("feature", Symbol), r.one("lease-expires", String))
-    r.done()
-    parse_rfc3339(claim.lease_expires)
-    return claim
-
-
-def decode_evidence(form: SList) -> EvidenceRecord:
-    fail = partial(SchemaError, "evidence")
-    read_head(form, "evidence", (), fail)
-    r = Record(form, 1, fail)
-    record = EvidenceRecord(
-        r.one("feature", Symbol), r.one("witness", TEXT), r.one("status", Symbol, "passed"),
-        r.one("hash", String, ""), _flag(r.one("server-computed", Symbol, "nil"), fail),
-        r.one("timestamp", String, ""))
+def _read(shape: _Shape, form, fail, label=False):
+    """Read a record; with `label`, a bad field is refused under the
+    record's tag and head values, as for a record of a section."""
+    head = read_head(form, shape.tag, shape.kinds, fail,
+                     exact=not (shape.fields or shape.rest))
+    if shape.rest is not None:
+        return shape.cls(*head, form.items[shape.start:])
+    if not shape.fields:
+        return shape.cls(*head)
+    if label:
+        fail = partial(_refuse, shape.tag, head)
+    r = Record(form, shape.start, fail)
+    values = list(head)
+    for f in shape.fields:
+        values.append(f.read(r, fail))
+    record = shape.cls(*values)
     r.done()
     return record
 
 
-def _decode_coordination(form: SList):
-    fail = partial(SchemaError, "coordination")
-    kind, = read_head(form, None, (), fail)
-    if kind == "claim":
-        return decode_claim(form)
-    if kind == "evidence":
-        return decode_evidence(form)
-    raise fail(f"unknown coordination form {kind}")
+def _write(shape: _Shape, record) -> SList:
+    items = [] if shape.sym is None else [shape.sym]
+    for attr in shape.head:
+        items.append(Symbol(getattr(record, attr)))
+    for f in shape.fields:
+        f.write(getattr(record, f.attr), items)
+    if shape.rest is not None:
+        items.extend(getattr(record, shape.rest))
+    return SList(items)
 
 
-def decode_lesson(form: SList) -> Lesson:
-    lid, = read_head(form, "lesson", (Symbol,), partial(SchemaError, "lessons"))
-    r = Record(form, 2, partial(SchemaError, f"lesson {lid}"))
-    lesson = Lesson(
-        lid, r.one("failure", String, ""), r.one("root-cause", String, ""),
-        r.one("fix", String, ""), r.one("obligation", String, ""),
-        r.many("affected-scope", String), r.one("cost", String, ""),
-        r.many("commits", String), r.one("severity", Integer, 1))
-    r.done()
-    return lesson
+@dataclass(frozen=True, slots=True)
+class _Row:
+    section: str
+    field: str    # the Artifact attribute its records go in
+    key: object   # record -> its id in the section; None: not addressable
+    shape: _Shape
 
 
-def _decode_imports(form: SList) -> tuple:
-    fail = partial(SchemaError, "guidebooks")
-    read_head(form, "imports", (), fail)
-    return read_values(form, String, fail)
+_TRUE = Symbol("t")
+_TRANSITION = _Shape(Transition, "transition", ("source", "target"), _Guard("guard"))
+_SCOPE = _Shape(Scope, "scope", (), _Many("requirements", Symbol), _Many("code-paths", String),
+                _Many("test-paths", String))
+
+# Sections in written order; a section's keys share one namespace.
+FORMAT = (
+    _Row("requirements", "requirements", attrgetter("id"), _Shape(
+        Requirement, "req", ("id",), _One("kind", Symbol, ""), _One("source", Symbol, ""),
+        _One("shall", String, ""), _Tree("constraint"))),
+    _Row("architecture", "components", attrgetter("name"), _Shape(
+        Component, "component", ("name",), _One("responsibility", String, ""))),
+    _Row("architecture", "connectors", attrgetter("key"), _Shape(
+        Connector, "connector", ("source", "target"), _One("flow", Symbol, ""),
+        _One("protocol", Symbol, ""))),
+    _Row("design", "design_elements", attrgetter("name"), _Shape(
+        DesignElement, None, ("kind", "name"), rest="attributes")),
+    _Row("workflows", "workflows", attrgetter("name"), _Shape(
+        Workflow, "workflow", ("name",), _Many("states", Symbol), _One("initial", Symbol, ""),
+        _Each(_TRANSITION, "transitions"))),
+    _Row("features", "features", attrgetter("id"), _Shape(
+        Feature, "feature", ("id",), _One("name", String, ""),
+        _One("status", Symbol, "open", always=True), _Nested(_SCOPE))),
+    _Row("traceability", "traces", attrgetter("id"), _Shape(
+        Trace, "trace", ("id", "requirement", "component", "design_element"))),
+    _Row("proof-obligations", "obligations", attrgetter("id"), _Shape(
+        ProofObligation, "proof", ("id",), _One("kind", Symbol), _One("description", String, ""),
+        _Flag("immutable"), _Tree("params"))),
+    _Row("coordination", "claims", attrgetter("feature"), _Shape(
+        Claim, "claim", (), _One("agent", TEXT), _One("feature", Symbol), _Stamp("lease-expires"))),
+    _Row("coordination", "evidence", None, _Shape(
+        EvidenceRecord, "evidence", (), _One("feature", Symbol), _One("witness", TEXT),
+        _One("status", Symbol, "passed", always=True), _One("hash", String, ""),
+        _Flag("server-computed"), _One("timestamp", String, ""))),
+    _Row("lessons", "lessons", attrgetter("id"), _Shape(
+        Lesson, "lesson", ("id",), _One("failure", String, ""), _One("root-cause", String, ""),
+        _One("fix", String, ""), _One("obligation", String, ""), _Many("affected-scope", String),
+        _One("cost", String, ""), _Many("commits", String), _One("severity", Integer, 1))),
+    # one (imports "path"…) form lists many paths; a path is its own key
+    _Row("guidebooks", "guidebook_imports", str, _Shape(str, "imports")),
+)
+SECTION_ORDER = tuple(dict.fromkeys(row.section for row in FORMAT))
+SECTIONS = {section: tuple(row for row in FORMAT if row.section == section)
+            for section in SECTION_ORDER}
+_SECTION_SYMBOLS = {section: Symbol(section) for section in SECTION_ORDER}
+_SECTION_FAIL = {section: partial(SchemaError, section) for section in SECTION_ORDER}
+_ROW_OF = {row.shape.cls: row for row in FORMAT}
+_HEAD = Symbol(HEAD_SYMBOL)
 
 
-# One decoder per section; each checks its element's head and fields.
-_SECTION_DECODERS = {
-    "requirements": decode_requirement,
-    "architecture": decode_architecture_element,
-    "design": decode_design_element,
-    "workflows": decode_workflow,
-    "features": decode_feature,
-    "traceability": decode_trace,
-    "proof-obligations": decode_obligation,
-    "coordination": _decode_coordination,
-    "lessons": decode_lesson,
-    "guidebooks": _decode_imports,
-}
+# ----------------------------------------------------------- codec
 
 
-def _check_unique(section: str, keys) -> None:
-    seen = set()
-    for key in keys:
-        if key is None:
+def decode_record(cls, form):
+    """The one reader: a record of the section type `cls` from its form.
+    A bad head is refused under the section's name."""
+    row = _ROW_OF[cls]
+    return _read(row.shape, form, _SECTION_FAIL[row.section], label=True)
+
+
+def encode_record(record) -> SList:
+    """The one writer: the form of a section's record."""
+    return _write(_ROW_OF[type(record)].shape, record)
+
+
+# Change sets in perfbench are built through these names.
+encode_requirement = encode_workflow = encode_feature = encode_trace = encode_record
+encode_obligation = encode_evidence = encode_lesson = encode_record
+
+
+def address(record) -> tuple:
+    """The section and key by which a change set names `record`."""
+    row = _ROW_OF[type(record)]
+    return row.section, row.key(record)
+
+
+def _decode_element(section: str, form) -> tuple:
+    """The row and the records of one element form of `section`: one
+    record, or every path of a guidebook import."""
+    rows = SECTIONS.get(section)
+    if rows is None:
+        raise UnknownSection(section)
+    fail = _SECTION_FAIL[section]
+    row = rows[0]
+    if len(rows) > 1:
+        tag, = read_head(form, None, (), fail)
+        row = next((x for x in rows if x.shape.tag == tag), None)
+        if row is None:
+            raise fail(f"unknown {section} form {tag}")
+    if row.shape.cls is str:
+        read_head(form, row.shape.tag, (), fail)
+        return row, read_values(form, String, fail)
+    return row, (_read(row.shape, form, fail, label=True),)
+
+
+def _index(section: str, records) -> dict:
+    """Key -> (row, position) of every addressable record of `section`,
+    where `records(row)` lists a row's records. The rows of a section
+    share one namespace: a key used twice is refused."""
+    out = {}
+    for row in SECTIONS[section]:
+        if row.key is None:
             continue
-        if key in seen:
-            raise DuplicateId(section, key)
-        seen.add(key)
+        for i, record in enumerate(records(row)):
+            key = row.key(record)
+            if key in out:
+                raise DuplicateId(section, key)
+            out[key] = (row, i)
+    return out
 
 
 def decode(tree) -> Artifact:
@@ -450,200 +577,38 @@ def decode(tree) -> Artifact:
     fail = partial(SchemaError, "artifact")
     name, = read_head(tree, HEAD_SYMBOL, (String,), fail)
     sections = Record(tree, 2, fail)
-    parts = {section: tuple([read(x) for x in sections.many(section, SList)])
-             for section, read in _SECTION_DECODERS.items()}
-    arch, coordination = parts["architecture"], parts["coordination"]
-    a = Artifact(
-        name=name,
-        requirements=parts["requirements"],
-        components=tuple(e for e in arch if isinstance(e, Component)),
-        connectors=tuple(e for e in arch if isinstance(e, Connector)),
-        design_elements=parts["design"],
-        workflows=parts["workflows"],
-        features=parts["features"],
-        traces=parts["traceability"],
-        obligations=parts["proof-obligations"],
-        claims=tuple(e for e in coordination if isinstance(e, Claim)),
-        evidence=tuple(e for e in coordination if isinstance(e, EvidenceRecord)),
-        lessons=parts["lessons"],
-        guidebook_imports=tuple(p for paths in parts["guidebooks"] for p in paths),
-        extra_sections=tuple((item.items[0].text, item) for item in sections.rest()),
-    )
-    _check_unique("requirements", (r.id for r in a.requirements))
-    _check_unique("architecture", (c.name for c in a.components))
-    _check_unique("architecture", (c.key for c in a.connectors))
-    _check_unique("design", (d.name for d in a.design_elements))
-    _check_unique("workflows", (w.name for w in a.workflows))
-    _check_unique("features", (f.id for f in a.features))
-    _check_unique("traceability", (t.id for t in a.traces))
-    _check_unique("proof-obligations", (o.id for o in a.obligations))
-    _check_unique("coordination", (c.feature for c in a.claims))
-    _check_unique("lessons", (l.id for l in a.lessons))
-    _check_unique("guidebooks", a.guidebook_imports)
-    return a
+    fields = {row.field: [] for row in FORMAT}
+    for section in SECTIONS:
+        for form in sections.many(section, SList):
+            row, records = _decode_element(section, form)
+            fields[row.field].extend(records)
+    extra = tuple((item.items[0].text, item) for item in sections.rest())
+    for section in SECTIONS:
+        _index(section, lambda row: fields[row.field])
+    return Artifact(name, **{field: tuple(v) for field, v in fields.items()},
+                    extra_sections=extra)
 
 
 def decode_text(text: str) -> Artifact:
     return decode(sexpr.parse(text))
 
 
-# ----------------------------------------------------------- encode
-
-
-def _field(key: str, *values) -> SList:
-    return SList([Symbol(key)] + list(values))
-
-
-def encode_requirement(r: Requirement) -> SList:
-    items = [Symbol("req"), Symbol(r.id)]
-    if r.kind:
-        items.append(_field("kind", Symbol(r.kind)))
-    if r.source:
-        items.append(_field("source", Symbol(r.source)))
-    if r.shall:
-        items.append(_field("shall", String(r.shall)))
-    if r.constraint is not None:
-        items.append(_field("constraint", r.constraint))
-    return SList(items)
-
-
-def encode_component(c: Component) -> SList:
-    items = [Symbol("component"), Symbol(c.name)]
-    if c.responsibility:
-        items.append(_field("responsibility", String(c.responsibility)))
-    return SList(items)
-
-
-def encode_connector(c: Connector) -> SList:
-    items = [Symbol("connector"), Symbol(c.source), Symbol(c.target)]
-    if c.flow:
-        items.append(_field("flow", Symbol(c.flow)))
-    if c.protocol:
-        items.append(_field("protocol", Symbol(c.protocol)))
-    return SList(items)
-
-
-def encode_design_element(d: DesignElement) -> SList:
-    return SList([Symbol(d.kind), Symbol(d.name)] + list(d.attributes))
-
-
-def encode_workflow(w: Workflow) -> SList:
-    items = [Symbol("workflow"), Symbol(w.name)]
-    if w.states:
-        items.append(SList([Symbol("states")] + [Symbol(s) for s in w.states]))
-    if w.initial:
-        items.append(_field("initial", Symbol(w.initial)))
-    for t in w.transitions:
-        sub = [Symbol("transition"), Symbol(t.source), Symbol(t.target)]
-        if t.guard is not None:
-            sub.append(_field("guard", solver.formula_to_sexpr(t.guard)))
-        items.append(SList(sub))
-    return SList(items)
-
-
-def encode_feature(f: Feature) -> SList:
-    items = [Symbol("feature"), Symbol(f.id)]
-    if f.name:
-        items.append(_field("name", String(f.name)))
-    items.append(_field("status", Symbol(f.status)))
-    scope_items = []
-    if f.scope.requirements:
-        scope_items.append(SList([Symbol("requirements")] + [Symbol(r) for r in f.scope.requirements]))
-    if f.scope.code_paths:
-        scope_items.append(SList([Symbol("code-paths")] + [String(p) for p in f.scope.code_paths]))
-    if f.scope.test_paths:
-        scope_items.append(SList([Symbol("test-paths")] + [String(p) for p in f.scope.test_paths]))
-    if scope_items:
-        items.append(SList([Symbol("scope")] + scope_items))
-    return SList(items)
-
-
-def encode_trace(t: Trace) -> SList:
-    return SList([
-        Symbol("trace"), Symbol(t.id), Symbol(t.requirement),
-        Symbol(t.component), Symbol(t.design_element),
-    ])
-
-
-def encode_obligation(o: ProofObligation) -> SList:
-    items = [Symbol("proof"), Symbol(o.id), _field("kind", Symbol(o.kind))]
-    if o.description:
-        items.append(_field("description", String(o.description)))
-    if o.immutable:
-        items.append(_field("immutable", Symbol("t")))
-    if o.params is not None:
-        items.append(_field("params", o.params))
-    return SList(items)
-
-
-def encode_claim(c: Claim) -> SList:
-    return SList([
-        Symbol("claim"),
-        _field("agent", String(c.agent)),
-        _field("feature", Symbol(c.feature)),
-        _field("lease-expires", String(c.lease_expires)),
-    ])
-
-
-def encode_evidence(e: EvidenceRecord) -> SList:
-    items = [
-        Symbol("evidence"),
-        _field("feature", Symbol(e.feature)),
-        _field("witness", String(e.witness)),
-        _field("status", Symbol(e.status)),
-    ]
-    if e.hash:
-        items.append(_field("hash", String(e.hash)))
-    if e.server_computed:
-        items.append(_field("server-computed", Symbol("t")))
-    if e.timestamp:
-        items.append(_field("timestamp", String(e.timestamp)))
-    return SList(items)
-
-
-def encode_lesson(l: Lesson) -> SList:
-    items = [Symbol("lesson"), Symbol(l.id)]
-    for key, value in (
-        ("failure", l.failure), ("root-cause", l.root_cause),
-        ("fix", l.fix), ("obligation", l.obligation),
-    ):
-        if value:
-            items.append(_field(key, String(value)))
-    if l.affected_scope:
-        items.append(SList([Symbol("affected-scope")] + [String(p) for p in l.affected_scope]))
-    if l.cost:
-        items.append(_field("cost", String(l.cost)))
-    if l.commits:
-        items.append(SList([Symbol("commits")] + [String(c) for c in l.commits]))
-    if l.severity != 1:
-        items.append(_field("severity", Integer(l.severity)))
-    return SList(items)
-
-
 def encode(a: Artifact) -> SList:
-    items = [Symbol(HEAD_SYMBOL), String(a.name)]
-
-    def section(name, forms):
+    items = [_HEAD, String(a.name)]
+    for section, rows in SECTIONS.items():
+        forms = []
+        for row in rows:
+            shape, records = row.shape, getattr(a, row.field)
+            if shape.cls is str:
+                if records:
+                    forms.append(SList([shape.sym] + [String(p) for p in records]))
+            elif shape.cls is ProofObligation:  # an inherited obligation is not written
+                forms.extend([_write(shape, o) for o in records if o.origin is None])
+            else:
+                forms.extend([_write(shape, x) for x in records])
         if forms:
-            items.append(SList([Symbol(name)] + list(forms)))
-
-    section("requirements", [encode_requirement(r) for r in a.requirements])
-    section("architecture",
-            [encode_component(c) for c in a.components]
-            + [encode_connector(c) for c in a.connectors])
-    section("design", [encode_design_element(d) for d in a.design_elements])
-    section("workflows", [encode_workflow(w) for w in a.workflows])
-    section("features", [encode_feature(f) for f in a.features])
-    section("traceability", [encode_trace(t) for t in a.traces])
-    section("proof-obligations", [encode_obligation(o) for o in a.obligations if o.origin is None])
-    section("coordination",
-            [encode_claim(c) for c in a.claims]
-            + [encode_evidence(e) for e in a.evidence])
-    section("lessons", [encode_lesson(l) for l in a.lessons])
-    if a.guidebook_imports:
-        section("guidebooks", [SList([Symbol("imports")] + [String(p) for p in a.guidebook_imports])])
-    for _, form in a.extra_sections:
-        items.append(form)
+            items.append(SList([_SECTION_SYMBOLS[section]] + forms))
+    items.extend([form for _, form in a.extra_sections])
     return SList(items)
 
 
@@ -712,7 +677,7 @@ def feature_ids_touched(cs: ChangeSet) -> list:
             fid = op.target
         else:
             try:
-                fid = decode_feature(op.element).id
+                fid = decode_record(Feature, op.element).id
             except ModelError:
                 continue
         if fid not in out:
@@ -720,140 +685,52 @@ def feature_ids_touched(cs: ChangeSet) -> list:
     return out
 
 
-def _element_key(section: str, element) -> str | None:
-    if section == "architecture":
-        return element.key if isinstance(element, Connector) else element.name
-    if section in ("design", "workflows"):
-        return element.name
-    if section == "coordination":
-        return element.feature if isinstance(element, Claim) else None
-    return element.id
-
-
-def _decode_element(section: str, form):
-    decoder = _SECTION_DECODERS.get(section)
-    if decoder is None:
-        raise UnknownSection(section)
-    return decoder(form)
-
-
-class _Draft:
-    """Mutable working copy used only inside apply_change_set."""
-
-    def __init__(self, a: Artifact):
-        self.a = a
-        self.requirements = list(a.requirements)
-        self.components = list(a.components)
-        self.connectors = list(a.connectors)
-        self.design_elements = list(a.design_elements)
-        self.workflows = list(a.workflows)
-        self.features = list(a.features)
-        self.traces = list(a.traces)
-        self.obligations = list(a.obligations)
-        self.claims = list(a.claims)
-        self.evidence = list(a.evidence)
-        self.lessons = list(a.lessons)
-        self.guidebook_imports = list(a.guidebook_imports)
-
-    def bucket(self, section: str, element=None) -> list:
-        if section == "architecture":
-            return self.connectors if isinstance(element, Connector) else self.components
-        if section == "coordination":
-            return self.evidence if isinstance(element, EvidenceRecord) else self.claims
-        return {
-            "requirements": self.requirements,
-            "design": self.design_elements,
-            "workflows": self.workflows,
-            "features": self.features,
-            "traceability": self.traces,
-            "proof-obligations": self.obligations,
-            "lessons": self.lessons,
-        }[section]
-
-    def existing_keys(self, section: str) -> dict:
-        """key -> (bucket, index) for addressable elements."""
-        out = {}
-        if section == "architecture":
-            for i, c in enumerate(self.components):
-                out[c.name] = (self.components, i)
-            for i, c in enumerate(self.connectors):
-                out[c.key] = (self.connectors, i)
-        elif section == "coordination":
-            for i, c in enumerate(self.claims):
-                out[c.feature] = (self.claims, i)
-        elif section == "guidebooks":
-            for i, p in enumerate(self.guidebook_imports):
-                out[p] = (self.guidebook_imports, i)
-        else:
-            bucket = self.bucket(section)
-            for i, e in enumerate(bucket):
-                out[_element_key(section, e)] = (bucket, i)
-        return out
-
-    def freeze(self) -> Artifact:
-        return Artifact(
-            name=self.a.name,
-            requirements=tuple(self.requirements),
-            components=tuple(self.components),
-            connectors=tuple(self.connectors),
-            design_elements=tuple(self.design_elements),
-            workflows=tuple(self.workflows),
-            features=tuple(self.features),
-            traces=tuple(self.traces),
-            obligations=tuple(self.obligations),
-            claims=tuple(self.claims),
-            evidence=tuple(self.evidence),
-            lessons=tuple(self.lessons),
-            guidebook_imports=tuple(self.guidebook_imports),
-            extra_sections=self.a.extra_sections,
-        )
-
-
 def apply_change_set(a: Artifact, cs: ChangeSet) -> Artifact:
     """Apply ops in order and return a new artifact. The input value is
     never mutated; the first bad op aborts the whole application."""
-    draft = _Draft(a)
+    fields = {}  # Artifact field -> its working copy, made on first touch
+
+    def records(row) -> list:
+        if row.field not in fields:
+            fields[row.field] = list(getattr(a, row.field))
+        return fields[row.field]
+
     for op in cs.ops:
-        if op.section not in SECTION_ORDER:
+        if op.section not in SECTIONS:
             raise UnknownSection(op.section)
+        keys = _index(op.section, records)
         if isinstance(op, AddOp):
-            if op.section == "guidebooks":
-                for path in _decode_element("guidebooks", op.element):
-                    if path in draft.guidebook_imports:
-                        raise DuplicateId("guidebooks", path)
-                    draft.guidebook_imports.append(path)
-                continue
-            element = _decode_element(op.section, op.element)
-            key = _element_key(op.section, element)
-            if key is not None and key in draft.existing_keys(op.section):
-                raise DuplicateId(op.section, key)
-            draft.bucket(op.section, element).append(element)
+            row, new = _decode_element(op.section, op.element)
+            for record in new:  # an import form may list several paths
+                if row.key is not None:
+                    key = row.key(record)
+                    if key in keys:
+                        raise DuplicateId(op.section, key)
+                    keys[key] = (row, len(records(row)))
+                records(row).append(record)
         elif isinstance(op, RemoveOp):
-            keys = draft.existing_keys(op.section)
             if op.target not in keys:
                 raise UnknownId(op.section, op.target)
-            bucket, index = keys[op.target]
-            del bucket[index]
+            row, index = keys[op.target]
+            del records(row)[index]
         elif isinstance(op, UpdateOp):
             if op.section == "guidebooks":
                 raise SchemaError("guidebooks", "imports are added or removed, not updated")
-            keys = draft.existing_keys(op.section)
             if op.target not in keys:
                 raise UnknownId(op.section, op.target)
-            element = _decode_element(op.section, op.element)
-            key = _element_key(op.section, element)
-            bucket, index = keys[op.target]
-            if key != op.target and key in draft.existing_keys(op.section):
+            row, (record,) = _decode_element(op.section, op.element)
+            key = None if row.key is None else row.key(record)
+            old_row, index = keys[op.target]
+            if key != op.target and key in keys:
                 raise DuplicateId(op.section, key)
-            old = bucket[index]
-            if type(old) is not type(element):
-                # architecture and coordination mix element types;
-                # an update must stay within the same type.
+            if row is not old_row:
+                # architecture and coordination hold two record types;
+                # an update must keep the type it replaces.
                 raise SchemaError(op.section, f"update changes element type of {op.target}")
-            bucket[index] = element
+            records(row)[index] = record
         else:
             raise ModelError(f"unknown op {op!r}")
-    return draft.freeze()
+    return replace(a, **{field: tuple(v) for field, v in fields.items()})
 
 
 # --------------------------------------------------- change set wire
@@ -870,8 +747,8 @@ def change_set_to_sexpr(cs: ChangeSet) -> SList:
             ops.append(SList([Symbol("update"), Symbol(op.section), Symbol(op.target), op.element]))
     return SList([
         Symbol("change-set"),
-        _field("actor", String(cs.actor)),
-        _field("intent", String(cs.intent)),
+        SList((Symbol("actor"), String(cs.actor))),
+        SList((Symbol("intent"), String(cs.intent))),
         SList([Symbol("ops")] + ops),
     ])
 

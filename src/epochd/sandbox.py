@@ -6,6 +6,7 @@ feature is claimed but not yet delivered."""
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 from . import model
 from .model import (
@@ -249,14 +250,5 @@ def gate_artifact() -> Artifact:
     gate_po = _immutable("PO-GATES", "gate-sequence",
                          "Deliveries walk the gate ladder in order", params=GATE_PARAMS)
     claim = Claim(agent="agent-main", feature="SF-01", lease_expires="2030-01-01T00:00:00Z")
-    return Artifact(
-        name="GateSandbox",
-        requirements=base.requirements,
-        components=base.components,
-        connectors=base.connectors,
-        design_elements=base.design_elements,
-        features=base.features,
-        traces=base.traces,
-        obligations=base.obligations + (gate_po,),
-        claims=(claim,),
-    )
+    return replace(base, name="GateSandbox", obligations=base.obligations + (gate_po,),
+                   claims=(claim,))

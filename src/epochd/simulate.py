@@ -24,8 +24,7 @@ from .model import (
     EvidenceRecord,
     RemoveOp,
     UpdateOp,
-    encode_evidence,
-    encode_feature,
+    encode_record,
     format_rfc3339,
     parse_rfc3339,
 )
@@ -95,7 +94,7 @@ class SimWorld:
             feature=feature_id, witness="governance-audit", status="passed",
             hash=f"{self.rng.getrandbits(256):064x}", server_computed=True,
             timestamp=self.clock.stamp)
-        cs = ChangeSet(ops=(AddOp("coordination", encode_evidence(fake)),),
+        cs = ChangeSet(ops=(AddOp("coordination", encode_record(fake)),),
                        actor=agent, intent=f"evidence for {feature_id}")
         return self.kernel.commit_change_set(cs)
 
@@ -103,7 +102,7 @@ class SimWorld:
         feat = self.kernel.artifact.feature(feature_id)
         done = dataclasses.replace(feat, status="delivered")
         cs = ChangeSet(
-            ops=(UpdateOp("features", feature_id, encode_feature(done)),),
+            ops=(UpdateOp("features", feature_id, encode_record(done)),),
             actor=agent, intent=f"deliver {feature_id}")
         return self.kernel.commit_change_set(cs)
 
@@ -370,22 +369,14 @@ class LesionReport:
 
 
 def _lesion_targets(a):
-    yield from (("trace", t.id) for t in a.traces)
-    yield from (("component", c.name) for c in a.components)
-    yield from (("design-element", d.name) for d in a.design_elements)
-    yield from (("requirement", r.id) for r in a.requirements)
-    yield from (("connector", c.key) for c in a.connectors)
-    yield from (("proof-obligation", ob.id) for ob in a.obligations if ob.immutable)
-
-
-_LESION_SECTION = {
-    "trace": "traceability",
-    "component": "architecture",
-    "design-element": "design",
-    "requirement": "requirements",
-    "connector": "architecture",
-    "proof-obligation": "proof-obligations",
-}
+    """(element type, section, key) of each element a lesion removes."""
+    for element_type, records in (
+            ("trace", a.traces), ("component", a.components),
+            ("design-element", a.design_elements), ("requirement", a.requirements),
+            ("connector", a.connectors),
+            ("proof-obligation", [ob for ob in a.obligations if ob.immutable])):
+        for record in records:
+            yield (element_type, *model.address(record))
 
 
 def lesion_run(artifact=None) -> LesionReport:
@@ -395,11 +386,11 @@ def lesion_run(artifact=None) -> LesionReport:
     clock = SimClock()
     kernel = kn.Kernel(a, clock=clock)
     rows = []
-    for n, (element_type, target) in enumerate(_lesion_targets(a)):
+    for n, (element_type, section, target) in enumerate(_lesion_targets(a)):
         # one actor per attempt: accumulated friction must not demote
         # the prober into a tier whose gate checks mask the guardians
         cs = ChangeSet(
-            ops=(RemoveOp(_LESION_SECTION[element_type], target),),
+            ops=(RemoveOp(section, target),),
             actor=f"lesioner-{n}", intent=f"remove {element_type} {target}")
         result = kernel.commit_change_set(cs)
         kinds = tuple(sorted({v.kind for v in result.verdict.violations}))

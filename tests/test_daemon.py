@@ -135,6 +135,16 @@ def test_read_system_round_trips():
     assert sexpr.fingerprint(out[1]) == svc.kernel.head_fingerprint()
 
 
+def test_read_system_replies_with_the_kept_text():
+    svc = demo_service()
+    reply = svc.handle("(read-system)")
+    assert reply == dm.ok(model.encode(svc.kernel.artifact))
+    assert reply == dm.ok(model.encode(model.decode_text(sandbox.DEMO_ARTIFACT)))
+    cs = delivery_change_set(test_paths=("tests/test_brain.py",))
+    assert svc.handle(f"(commit-change-set {wire(cs)})").startswith("(ok (committed")
+    assert svc.handle("(read-system)") == dm.ok(model.encode(svc.kernel.artifact))
+
+
 def test_commit_rejected_over_wire():
     svc = demo_service()
     out = parse(svc.handle(f"(commit-change-set {wire(delivery_change_set())})"))

@@ -30,9 +30,7 @@ from epochd.model import (
     UpdateOp,
     Workflow,
     apply_change_set,
-    encode_component,
-    encode_connector,
-    encode_design_element,
+    encode_record,
     encode_requirement,
     encode_trace,
     encode_workflow,
@@ -80,19 +78,19 @@ def _structural_op(rng, a: Artifact, actor: str):
         if action == "add":
             if len(components) < 2:
                 return None
-            op = AddOp("architecture", encode_connector(Connector(*rng.sample(components, 2))))
+            op = AddOp("architecture", encode_record(Connector(*rng.sample(components, 2))))
         elif not a.connectors:
             return None
         else:
             c = rng.choice(a.connectors)
             op = RemoveOp("architecture", c.key) if action == "remove" else UpdateOp(
                 "architecture", c.key,
-                encode_connector(dataclasses.replace(c, target=rng.choice(components))))
+                encode_record(dataclasses.replace(c, target=rng.choice(components))))
         return ChangeSet((op,), actor, f"{action} connector")
     pools = {
-        "architecture": (a.components, encode_component,
+        "architecture": (a.components, encode_record,
                          lambda name: Component(name, "fuzz")),
-        "design": (a.design_elements, encode_design_element,
+        "design": (a.design_elements, encode_record,
                    lambda name: DesignElement("value-object", name)),
         "workflows": (a.workflows, encode_workflow,
                       lambda name: Workflow(name, ("a", "b"), "a", (Transition(

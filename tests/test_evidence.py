@@ -1,4 +1,4 @@
-"""Evidence pipeline: content hashing, witness registry, and the fused
+"""Evidence pipeline: content hashing, the default witnesses, and the fused
 run-then-record gate that makes fabricated evidence unrepresentable."""
 
 import dataclasses
@@ -7,7 +7,7 @@ import pytest
 
 from epochd import evidence as ev
 from epochd import kernel as kn
-from epochd import model, sandbox
+from epochd import model, obligations, sandbox
 from epochd.model import AddOp, ChangeSet, EvidenceRecord, UpdateOp, parse_rfc3339
 
 NOW = parse_rfc3339(sandbox.DEMO_NOW)
@@ -72,25 +72,13 @@ def test_disk_reader_used_by_default(tmp_path):
     assert len(got) == 64 and got != ev.EMPTY_DIGEST
 
 
-# ----------------------------------------------------------- registry
+# --------------------------------------------------------- witnesses
 
 
 def test_default_witnesses():
-    reg = ev.WitnessRegistry()
     for name in ("kernel-test-gate", "ci-pipeline", "human-review"):
-        assert reg.registered(name)
-    assert not reg.registered("governance-audit")
-
-
-def test_registry_must_not_be_empty():
-    with pytest.raises(ev.EvidenceError):
-        ev.WitnessRegistry(frozenset())
-
-
-def test_registry_extension():
-    reg = ev.WitnessRegistry(ev.WitnessRegistry().names | {"fuzz-bot"})
-    assert reg.registered("fuzz-bot")
-    assert reg.registered("ci-pipeline")
+        assert name in obligations.DEFAULT_WITNESSES
+    assert "governance-audit" not in obligations.DEFAULT_WITNESSES
 
 
 # --------------------------------------------------------- fused gate

@@ -2,8 +2,9 @@
 imports, and reads another object's private `_name` only if it
 defines that name itself (static checks with the standard library's
 ast module). Every evaluator and predicate family declares what it
-reads in the known vocabulary, and every frozen record type but
-Artifact is slotted."""
+reads in the known vocabulary, every frozen record type but
+Artifact is slotted, and the artifact format table covers every
+Artifact field and section."""
 
 import ast
 import dataclasses
@@ -129,3 +130,25 @@ def test_every_known_predicate_belongs_to_a_family_with_declared_reads():
         assert reads and reads <= allowed, reads
         declared |= family
     assert predicates.KNOWN_PREDICATES <= declared
+
+
+def test_format_table_names_every_artifact_field_once():
+    """A field left out of the table would be dropped by decode,
+    encode and apply alike."""
+    named = [row.field for row in model.FORMAT]
+    fields = [f.name for f in dataclasses.fields(model.Artifact)]
+    assert sorted(named) == sorted(set(fields) - {"name", "extra_sections"})
+    assert {row.section for row in model.FORMAT} == set(SECTION_ORDER)
+    assert all(model.SECTIONS[section] for section in SECTION_ORDER)
+
+
+def test_format_shapes_fill_constructor_parameters_in_order():
+    """The reader builds each record positionally from its head, its
+    fields and its rest, so they must follow the dataclass's own order."""
+    shapes = [row.shape for row in model.FORMAT if row.shape.cls is not str]
+    shapes += [f.shape for shape in shapes for f in shape.fields if hasattr(f, "shape")]
+    for shape in shapes:
+        attrs = list(shape.head) + [f.attr for f in shape.fields]
+        attrs += [shape.rest] if shape.rest else []
+        params = [f.name for f in dataclasses.fields(shape.cls)]
+        assert params[:len(attrs)] == attrs, shape.cls

@@ -328,7 +328,7 @@ def test_overlapping_claim_holders_share_success_credit():
                    Scope(("UR-01",), ("src/side.py",), ("tests/test_side.py",)))
     grow = ChangeSet(
         ops=(AddOp("features", encode_feature(side)),
-             AddOp("coordination", model.encode_claim(
+             AddOp("coordination", model.encode_record(
                  model.Claim(agent="helper", feature="FEAT-02",
                              lease_expires="2026-03-20T14:00:00Z"))),
              AddOp("traceability",

@@ -21,7 +21,7 @@ OOM_TEXT = """\
   (commits "ce3e50d" "2ddd721"))
 """
 
-OOM = model.decode_lesson(sexpr.parse(OOM_TEXT))
+OOM = model.decode_record(Lesson, sexpr.parse(OOM_TEXT))
 
 PRE = And([Var("commit_path_mode"), Var("z3_called_per_feature")])
 CTX = Implies(Var("commit_path_mode"), Not(Var("z3_called_per_feature")))

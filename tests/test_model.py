@@ -1,9 +1,12 @@
 """Artifact decode/encode round trips and pure change application."""
 
+import hashlib
+from datetime import timezone
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epochd import model, sandbox, sexpr
+from epochd import model, sandbox, sexpr, simulate, solver
 from epochd.model import (
     AddOp,
     ChangeSet,
@@ -23,7 +26,8 @@ from epochd.model import (
     encode_text,
     sections_touched,
 )
-from epochd.sexpr import parse
+from epochd.sexpr import Integer, SList, String, Symbol, parse
+from test_acceptance import _synthetic_big_artifact
 
 
 @pytest.fixture
@@ -243,16 +247,124 @@ def test_change_set_fingerprint_distinguishes(demo):
 
 
 IDENT = st.from_regex(r"[A-Z]{1,3}-[0-9]{1,3}", fullmatch=True)
+SYM = st.from_regex(r"[a-z][a-z0-9-]{0,5}", fullmatch=True)
+PROSE = st.text(max_size=8)
+NODE = st.recursive(
+    st.one_of(SYM.map(Symbol), PROSE.map(String),
+              st.integers(sexpr.INT64_MIN, sexpr.INT64_MAX).map(Integer)),
+    lambda kids: st.lists(kids, max_size=3).map(SList), max_leaves=5)
+GUARDS = [solver.formula_from_sexpr(parse(t)) for t in (
+    "(> priority 0)", "(and p (not q))", "(implies (>= x 1) (or a b))", "true")]
+STAMP = st.datetimes(timezones=st.just(timezone.utc)).map(model.format_rfc3339)
+
+
+def _maybe(strategy, absent):
+    return st.one_of(st.just(absent), strategy)
+
+
+@st.composite
+def generated_artifacts(draw):
+    """An artifact with records of every type and every field kind."""
+    ids = draw(st.lists(IDENT, max_size=6, unique=True))
+    names = draw(st.lists(SYM, max_size=5, unique=True))
+    reqs = tuple(model.Requirement(
+        i, draw(_maybe(SYM, "")), draw(_maybe(SYM, "")), draw(PROSE),
+        draw(_maybe(NODE, None))) for i in ids)
+    components = tuple(model.Component(n, draw(PROSE)) for n in names)
+    pairs = draw(st.lists(st.tuples(SYM, SYM), max_size=3, unique=True))
+    connectors = tuple(model.Connector(a, b, draw(_maybe(SYM, "")), draw(_maybe(SYM, "")))
+                       for a, b in pairs)
+    design = tuple(model.DesignElement(draw(SYM), n, tuple(draw(st.lists(NODE, max_size=2))))
+                   for n in names)
+    workflows = tuple(model.Workflow(
+        n, tuple(draw(st.lists(SYM, max_size=3))), draw(_maybe(SYM, "")),
+        tuple(model.Transition(draw(SYM), draw(SYM), draw(_maybe(st.sampled_from(GUARDS), None)))
+              for _ in range(draw(st.integers(0, 2))))) for n in names)
+    features = tuple(model.Feature(
+        i, draw(PROSE), draw(st.sampled_from(model.FEATURE_STATUSES)), model.Scope(
+            tuple(draw(st.lists(IDENT, max_size=2))), tuple(draw(st.lists(PROSE, max_size=2))),
+            tuple(draw(st.lists(PROSE, max_size=2))))) for i in ids)
+    traces = tuple(model.Trace(i, i, draw(SYM), draw(SYM)) for i in ids)
+    obligations = tuple(model.ProofObligation(
+        i, draw(SYM), draw(PROSE), draw(st.booleans()), draw(_maybe(NODE, None))) for i in ids)
+    claims = tuple(model.Claim(draw(PROSE), i, draw(STAMP)) for i in ids[:2])
+    evidence = tuple(model.EvidenceRecord(
+        draw(IDENT), draw(PROSE), draw(SYM), draw(PROSE), draw(st.booleans()), draw(PROSE))
+        for _ in range(draw(st.integers(0, 2))))
+    lessons = tuple(model.Lesson(
+        i, draw(PROSE), draw(PROSE), draw(PROSE), draw(PROSE),
+        tuple(draw(st.lists(PROSE, max_size=2))), draw(PROSE),
+        tuple(draw(st.lists(PROSE, max_size=2))),
+        draw(st.integers(sexpr.INT64_MIN, sexpr.INT64_MAX))) for i in ids)
+    imports = tuple(draw(st.lists(PROSE, max_size=3, unique=True)))
+    return model.Artifact(
+        "Gen", reqs, components, connectors, design, workflows, features, traces,
+        obligations, claims, evidence, lessons, imports)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(IDENT, min_size=1, max_size=8, unique=True))
-def test_generated_requirements_round_trip(ids):
-    reqs = tuple(model.Requirement(id=i, kind="functional", shall=f"Does {i}") for i in ids)
-    a = model.Artifact(name="Gen", requirements=reqs)
+@given(generated_artifacts())
+def test_generated_requirements_round_trip(a):
+    """Every record type round-trips, through the tree and through its text."""
     assert decode(encode(a)) == a
+    text = encode_text(a)
+    assert encode_text(decode_text(text)) == text
 
 
 def test_sandbox_artifacts_round_trip():
     for a in (sandbox.lesion_artifact(), sandbox.simulation_artifact(), sandbox.gate_artifact()):
         assert decode(encode(a)) == a
+
+
+# ------------------------------------------------------- pinned bytes
+
+# sha256 of encode_text for fixed states. The canonical text is what
+# the gate hashes, so these bytes must not move.
+PINNED = {
+    "demo": (sandbox.demo_artifact,
+             "aa1e06c1d0533e3359aaaade6a4c72cce2b2ac942130173b581a235b13a3f7ce"),
+    "lesion": (sandbox.lesion_artifact,
+               "c266c927aa4d1d52d7f2fbad4ec0f212a87dfb56195dce4a60e45c377265f43a"),
+    "simulation": (sandbox.simulation_artifact,
+                   "76d8978e2d7b1ed391267528b306d561544490e98fa4cff73470aaf8df55df5d"),
+    "gate": (sandbox.gate_artifact,
+             "e43f759891d62cee5f0bfe4d15d1d048240b20130b7416c0ae9c3b2d3bfd21c2"),
+    "scenario": (simulate.scenario_artifact,
+                 "dfdfa8218ecf57b7f2a2eaedffe61945383a739c68c0a0a3ad9a38298ef93955"),
+    "synthetic-big": (_synthetic_big_artifact,
+                      "b9e11f785e6d623db1b9a79f463cf045e740adcdd21812b1a79ea7746d6bebbf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_encoded_bytes_are_pinned(name):
+    build, digest = PINNED[name]
+    assert hashlib.sha256(encode_text(build()).encode("utf-8")).hexdigest() == digest
+
+
+# ------------------------------------------------------- key namespace
+
+
+def test_a_section_has_one_key_namespace():
+    """A component named A->B and the connector A B share one key."""
+    arch = "(component A) (component B) (connector A B)"
+    with pytest.raises(DuplicateId) as exc:
+        decode_text(f'(nidus-system "X" (architecture (component A->B) {arch}))')
+    assert (exc.value.section, exc.value.element_id) == ("architecture", "A->B")
+    base = decode_text(f'(nidus-system "X" (architecture {arch}))')
+
+    def apply(a, op):
+        return apply_change_set(a, ChangeSet([op], actor="a1"))
+
+    with pytest.raises(DuplicateId):
+        apply(base, AddOp("architecture", parse("(component A->B)")))
+    with pytest.raises(DuplicateId):
+        apply(base, UpdateOp("architecture", "A", parse("(component A->B)")))
+    gone = apply(base, RemoveOp("architecture", "A->B"))
+    assert gone.connectors == () and gone.component_names() == {"A", "B"}
+    with pytest.raises(UnknownId):
+        apply(gone, RemoveOp("architecture", "A->B"))
+    renamed = apply(gone, AddOp("architecture", parse("(component A->B)")))
+    assert apply(renamed, RemoveOp("architecture", "A->B")) == gone
+    with pytest.raises(DuplicateId):
+        apply(renamed, AddOp("architecture", parse("(connector A B)")))

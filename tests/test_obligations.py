@@ -20,8 +20,8 @@ from epochd.model import (
     UpdateOp,
     Workflow,
     apply_change_set,
-    encode_connector,
     encode_feature,
+    encode_record,
     encode_requirement,
     parse_rfc3339,
 )
@@ -176,7 +176,7 @@ def test_connector_removal_breaks_connector_existence():
 def test_connector_cycle_rejected():
     a = sandbox.demo_artifact()
     cs = ChangeSet(
-        ops=(AddOp("architecture", encode_connector(
+        ops=(AddOp("architecture", encode_record(
             Connector("Brain", "Interceptor", flow="LOOP", protocol="synchronous"))),),
         actor="a", intent="x",
     )
@@ -292,7 +292,7 @@ def test_dispatch_without_claim_flagged():
 def test_dispatch_with_claim_passes():
     a, cs = claim_cs("agent-7")
     cs = ChangeSet(
-        ops=cs.ops + (AddOp("coordination", model.encode_claim(
+        ops=cs.ops + (AddOp("coordination", model.encode_record(
             Claim("agent-7", "SF-01", "2026-03-11T00:00:00Z"))),),
         actor="agent-7", intent="claim",
     )
@@ -304,7 +304,7 @@ def test_dispatch_with_claim_passes():
 def test_dispatch_with_expired_claim_flagged():
     a, cs = claim_cs("agent-7")
     cs = ChangeSet(
-        ops=cs.ops + (AddOp("coordination", model.encode_claim(
+        ops=cs.ops + (AddOp("coordination", model.encode_record(
             Claim("agent-7", "SF-01", "2026-03-01T00:00:00Z"))),),
         actor="agent-7", intent="claim",
     )
